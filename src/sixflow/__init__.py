@@ -6,7 +6,6 @@ verifiers, brute-force oracles, and graph generators.
 """
 
 from .connectivity import (
-    bridge_partition,
     bridges,
     components,
     is_2_edge_connected,
@@ -37,7 +36,7 @@ from .flows import (
     verify_nowhere_zero,
     verify_rooted,
 )
-from .multigraph import ContractionMap, Edge, Multigraph
+from .multigraph import Edge, Multigraph
 from .testkit import (
     check_rooted_flows_exhaustive,
     enumerate_nz_flows,
@@ -53,7 +52,6 @@ from .tutte import (
 )
 
 __all__ = [
-    "ContractionMap",
     "ConstructionTrace",
     "Edge",
     "GroupFlow",
@@ -64,7 +62,6 @@ __all__ = [
     "Multigraph",
     "SixflowError",
     "StructuralError",
-    "bridge_partition",
     "bridges",
     "check_rooted_flows_exhaustive",
     "components",

@@ -1,5 +1,5 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
-bridge-based partitions, and two edge-disjoint paths.
+the partition at a bridge, and two edge-disjoint paths.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
@@ -8,9 +8,8 @@ broken by smallest edge id, then smallest vertex id.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
-from .errors import InputError, StructuralError
+from .errors import StructuralError
 from .multigraph import Multigraph
 
 
@@ -103,34 +102,18 @@ def require_2_edge_connected(g: Multigraph) -> None:
         )
 
 
-def bridge_partition(
-    g: Multigraph, u: int
-) -> Optional[tuple[int, frozenset[int], frozenset[int]]]:
-    """If G - u has a bridge, return (e, V1, V2) describing a 1-edge-cut of G - u.
-
-    e is the smallest-id bridge of G - u; {V1, V2} partitions V(G) minus u so
-    that e is the only G - u edge between the sides. Components of G - u
-    containing neither endpoint of e land on the side of e's tail. Returns
-    None when G - u is bridgeless.
-    """
-    if g.n < 2:
-        raise InputError("bridge_partition requires at least two vertices")
-    gu = g.delete_vertex(u)
-    b = bridges(gu)
-    if not b:
-        return None
-    return partition_at_bridge(g, u, gu, min(b))
-
-
 def partition_at_bridge(
     g: Multigraph, u: int, gu: Multigraph, eid: int
 ) -> tuple[int, frozenset[int], frozenset[int]]:
-    """Partition step of bridge_partition, with G - u already computed."""
+    """Split V(G) minus u at the bridge ``eid`` of ``gu`` = G - u.
+
+    Returns (eid, V1, V2): V2 is the side of e's head, V1 the rest, so e is
+    the only G - u edge between the sides. Components of G - u containing
+    neither endpoint of e land on the side of e's tail.
+    """
     t, h = gu.endpoints(eid)
     # Components of G-u with e removed; the bridge's two sides plus strays.
-    pruned = Multigraph(
-        gu.n, {k: v for k, v in gu._edges.items() if k != eid}
-    )
+    pruned = Multigraph(gu.n, {k: v for k, v in gu.arcs() if k != eid})
     comps = components(pruned)
     head_side = next(c for c in comps if h in c)
     side1: set[int] = set()

@@ -36,7 +36,7 @@ from .connectivity import (
     two_edge_disjoint_paths,
 )
 from .errors import InputError, InternalCheckError
-from .flows import GroupFlow, negate_f3, support, verify_flow, verify_rooted
+from .flows import GroupFlow, negate_f3, verify_flow, verify_rooted
 from .multigraph import Multigraph
 
 
@@ -137,7 +137,7 @@ def _cut_case(g, u, cut, depth, trace, debug):
     eid, side1, side2 = cut
     e1: set[int] = set()
     e2: set[int] = set()
-    for other, (t, h) in g._edges.items():
+    for other, (t, h) in g.arcs():
         if other == eid:
             continue
         if t == u and h == u:
@@ -153,10 +153,10 @@ def _cut_case(g, u, cut, depth, trace, debug):
                    "cut-case edge crosses the partition")
             e2.add(other)
 
-    g1, map1 = g.contract(e1)
-    g2, map2 = g.contract(e2)
-    r1 = map1.vertex_image[u]
-    r2 = map2.vertex_image[u]
+    g1, image1 = g.contract(e1)
+    g2, image2 = g.contract(e2)
+    r1 = image1[u]
+    r2 = image2[u]
     _check(g1.n == len(side2) + 1, "side 1 did not contract to a single vertex")
     _check(g2.n == len(side1) + 1, "side 2 did not contract to a single vertex")
     _check(g1.n < g.n and g2.n < g.n, "cut case failed to shrink the instance")
@@ -203,7 +203,7 @@ def _bridgeless_case(g, u, gu, depth, trace, debug):
     root_edges = []  # non-loop edges at u, ascending id
     root_loops = []
     other_loops = []  # (edge id, vertex) for loops away from u
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if t == h:
             if t == u:
                 root_loops.append(eid)
@@ -273,8 +273,8 @@ def _bridgeless_case(g, u, gu, depth, trace, debug):
 
     # G/H/spokes in one contraction: same vertex numbering and edge order as
     # contracting H first and the spokes second.
-    g2, map2 = g.contract(path_edges | spokes)
-    u2 = map2.vertex_image[u]
+    g2, image2 = g.contract(path_edges | spokes)
+    u2 = image2[u]
     _check(g2.n < g.n, "bridgeless case failed to shrink the instance")
     if debug:
         g1, _ = g.contract(path_edges)
@@ -359,25 +359,22 @@ def extend_flow_over_contraction(
     contracted: Iterable[int],
     known: dict[int, int],
     modulus: int = 3,
-    preset: Optional[dict[int, int]] = None,
 ) -> dict[int, int]:
     """Extend a flow on G/S to all of G (values mod ``modulus``).
 
-    ``known`` must cover every edge of g outside S and form a flow on G/S;
-    some S-edges may carry preset values (chords). The rest are fixed through
-    a spanning forest of (V, S): non-tree edges get 0, tree edges are forced
-    leaf-upward by conservation. Assigned values may legitimately be zero.
-    Only the excess at S's endpoints is read, so g may hold just the edges
-    at those vertices; ``known`` then needs to conserve only at the vertices
-    of G/S that S's components contract to.
+    ``known`` must cover every edge of g outside S and form a flow on G/S.
+    The S-edges are fixed through a spanning forest of (V, S): non-tree
+    edges get 0, tree edges are forced leaf-upward by conservation.
+    Assigned values may legitimately be zero. Only the excess at S's
+    endpoints is read, so g may hold just the edges at those vertices;
+    ``known`` then needs to conserve only at the vertices of G/S that S's
+    components contract to.
     """
     contracted = frozenset(contracted)
     total = dict(known)
-    if preset:
-        total.update(preset)
 
     exc = [0] * g.n
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if eid in contracted and eid not in total:
             continue
         if t == h:

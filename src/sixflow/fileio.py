@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import itemgetter
 
 from .errors import InputError
 from .flows import GroupFlow, IntegerFlow
@@ -45,9 +47,6 @@ class FlowDocument:
 
     def group_flow(self) -> GroupFlow:
         return {e.edge_id: (e.f2, e.f3) for e in self.entries}
-
-    def z6_flow(self) -> dict[int, int]:
-        return {e.edge_id: e.z6 for e in self.entries}
 
     def integer_flow(self) -> IntegerFlow:
         return {e.edge_id: e.int6 for e in self.entries}
@@ -86,7 +85,7 @@ def parse_graph(text: str) -> Multigraph:
 
 def format_graph(g: Multigraph) -> str:
     lines = [f"p nzf {g.n} {g.m}"]
-    lines.extend(f"e {t} {h}" for _, (t, h) in sorted(g._edges.items()))
+    lines.extend(f"e {t} {h}" for _, (t, h) in sorted(g.arcs()))
     return "\n".join(lines) + "\n"
 
 
@@ -94,7 +93,7 @@ def build_flow_document(
     g: Multigraph, root: int, f: GroupFlow, int6: IntegerFlow
 ) -> FlowDocument:
     entries = []
-    for eid, (t, h) in sorted(g._edges.items()):
+    for eid, (t, h) in sorted(g.arcs()):
         a, b = f[eid]
         entries.append(FlowEntry(eid, t, h, a, b, pair_to_z6((a, b)), int6[eid]))
     return FlowDocument(root=root, entries=tuple(entries))
@@ -154,19 +153,30 @@ def parse_flow(text: str) -> FlowDocument:
     return doc
 
 
+_JSON_FIELDS = ("id", "tail", "head", "f2", "f3", "z6", "int6")
+_json_row = itemgetter(*_JSON_FIELDS)
+
+
 def _parse_flow_json(text: str) -> FlowDocument:
     try:
         payload = json.loads(text)
-        entries = tuple(
-            FlowEntry(
-                e["id"], e["tail"], e["head"],
-                e["f2"], e["f3"], e["z6"], e["int6"],
-            )
-            for e in payload["edges"]
-        )
-        doc = FlowDocument(root=payload["root"], entries=entries)
+        root = payload["root"]
+        rows = list(map(_json_row, payload["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed machine-readable flow file: {exc}") from None
+    # Only exact JSON integers pass: bool is an int subclass, and floats or
+    # strings would reach arithmetic and vertex lookups.
+    if type(root) is not int:
+        raise InputError(f"root value {root!r} is not an integer")
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        i, key, value = next(
+            (i, key, value)
+            for i, row in enumerate(rows)
+            for key, value in zip(_JSON_FIELDS, row)
+            if type(value) is not int
+        )
+        raise InputError(f"edges[{i}]: {key} value {value!r} is not an integer")
+    doc = FlowDocument(root=root, entries=tuple(starmap(FlowEntry, rows)))
     _validate_flow_document(doc)
     return doc
 

@@ -41,7 +41,7 @@ def excess_pair(g: Multigraph, f: GroupFlow, v: int) -> Pair:
     g._check_vertex(v)
     _require_total(g, f)
     e2 = e3 = 0
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if h == v and t != v:
             a, b = f[eid]
             e2 += a
@@ -58,7 +58,7 @@ def excess_int(g: Multigraph, f: IntegerFlow, v: int) -> int:
     g._check_vertex(v)
     _require_total(g, f)
     total = 0
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if h == v and t != v:
             total += f[eid]
         elif t == v and h != v:
@@ -69,7 +69,7 @@ def excess_int(g: Multigraph, f: IntegerFlow, v: int) -> int:
 def _pair_excesses(g: Multigraph, f: GroupFlow) -> tuple[list[int], list[int]]:
     e2 = [0] * g.n
     e3 = [0] * g.n
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if t == h:
             continue
         a, b = f[eid]
@@ -115,7 +115,7 @@ def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[tuple[str,
     z = zero_edge({eid: f[eid] for eid in g.edge_ids})
     if z is not None:
         return ("edge", z)
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if (t == u or h == u) and f[eid][0] != 0:
             return ("edge", eid)
     return None
@@ -134,7 +134,7 @@ def k_flow_violation(
         if not 0 < abs(f[eid]) <= k - 1:
             return ("edge", eid)
     exc = [0] * g.n
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if t == h:
             continue
         exc[h] += f[eid]

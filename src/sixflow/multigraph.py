@@ -5,12 +5,15 @@ values transfer between a graph and its minors. Loops and parallel edges are
 ordinary edges. Graphs are immutable after construction: every "mutation"
 returns a new graph (the recursive construction needs the old and new graph
 alive at the same time).
+
+This module is the only one that knows how the edge table is stored. Other
+modules read it through ``arcs()`` (every edge, in one pass), ``endpoints``
+(one edge) and ``undirected_adj()`` (traversals).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import ItemsView, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -19,24 +22,6 @@ class Edge(NamedTuple):
     id: int
     tail: int
     head: int
-
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """How the vertices of G map onto the vertices of G/S.
-
-    ``vertex_image[v]`` is the vertex of G/S that v was merged into; two
-    vertices share an image iff a path of S-edges joins them. ``surviving``
-    lists the edge ids of G/S (= E(G) minus S), in ascending order.
-    """
-
-    vertex_image: tuple[int, ...]
-    contracted: frozenset[int]
-    surviving: tuple[int, ...]
 
 
 class Multigraph:
@@ -71,12 +56,9 @@ class Multigraph:
     def has_edge(self, eid: int) -> bool:
         return eid in self._edges
 
-    def edge(self, eid: int) -> Edge:
-        try:
-            t, h = self._edges[eid]
-        except KeyError:
-            raise InputError(f"unknown edge id {eid}") from None
-        return Edge(eid, t, h)
+    def arcs(self) -> ItemsView[int, tuple[int, int]]:
+        """Live (edge id, (tail, head)) view in ascending id order; no copy."""
+        return self._edges.items()
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:
@@ -85,25 +67,12 @@ class Multigraph:
             raise InputError(f"unknown edge id {eid}") from None
 
     def edges(self) -> Iterator[Edge]:
+        """One ``Edge`` per edge, by id; loops over many edges use ``arcs()``."""
         for eid, (t, h) in self._edges.items():
             yield Edge(eid, t, h)
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def incidence(self, v: int) -> list[tuple[int, int]]:
-        """All (edge id, direction) pairs at v: +1 outgoing, -1 incoming.
-
-        A loop at v appears twice, once with each direction.
-        """
-        self._check_vertex(v)
-        out = []
-        for eid, (t, h) in self._edges.items():
-            if t == v:
-                out.append((eid, +1))
-            if h == v:
-                out.append((eid, -1))
-        return out
 
     def undirected_adj(self) -> list[list[tuple[int, int]]]:
         """Per-vertex (edge id, other endpoint) lists, loops excluded, by edge id.
@@ -119,21 +88,20 @@ class Multigraph:
             self._adj = adj
         return self._adj
 
-    def loops_at(self, v: int) -> list[int]:
-        return [eid for eid, (t, h) in self._edges.items() if t == v and h == v]
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise InputError(f"unknown vertex id {v} (n={self.n})")
 
     # -- derived graphs --------------------------------------------------
 
-    def contract(self, s: Iterable[int]) -> tuple["Multigraph", ContractionMap]:
+    def contract(self, s: Iterable[int]) -> tuple["Multigraph", list[int]]:
         """Contract the edge set S, keeping surviving edge ids and orientations.
 
         One result vertex per connected component of the spanning subgraph
         (V, S); result vertices are numbered by smallest original member.
         Edges whose remapped endpoints coincide become loops and are kept.
+        Returns G/S and the vertex image: ``image[v]`` is the vertex of G/S
+        that v was merged into.
         """
         s = frozenset(s)
         for eid in s:
@@ -169,12 +137,7 @@ class Multigraph:
             for eid, (t, h) in self._edges.items()
             if eid not in s
         }
-        cmap = ContractionMap(
-            vertex_image=tuple(image),
-            contracted=s,
-            surviving=tuple(edges.keys()),
-        )
-        return Multigraph(next_id, edges), cmap
+        return Multigraph(next_id, edges), image
 
     def reverse_edge(self, eid: int) -> "Multigraph":
         """Swap tail and head of one edge."""

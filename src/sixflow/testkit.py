@@ -92,6 +92,12 @@ def enumerate_nz_flows(
     return results
 
 
+def rooted_flows(g: Multigraph, u: int, flows: list[dict]) -> list[dict]:
+    """The flows among ``flows`` with f2 = 0 on every edge at u, loops included."""
+    at_u = [eid for eid, (t, h) in g.arcs() if u in (t, h)]
+    return [f for f in flows if all(f[eid][0] == 0 for eid in at_u)]
+
+
 def check_rooted_flows_exhaustive(g: Multigraph, guard_edges: int | None = None) -> bool:
     """Oracle cross-check of the rooted construction on one small graph.
 
@@ -102,12 +108,7 @@ def check_rooted_flows_exhaustive(g: Multigraph, guard_edges: int | None = None)
         raise InputError("oracle requires a 2-edge-connected graph")
     all_flows = enumerate_nz_flows(g, "z2xz3", guard_edges)
     for u in g.vertices():
-        incident = [
-            eid for eid, (t, h) in g._edges.items() if t == u or h == u
-        ]
-        valid = [
-            f for f in all_flows if all(f[eid][0] == 0 for eid in incident)
-        ]
+        valid = rooted_flows(g, u, all_flows)
         if not valid:
             return False
         built, _ = solve(g, u)
@@ -138,7 +139,7 @@ def _degree_ok(g: Multigraph) -> bool:
     if g.n == 1:
         return True
     deg = [0] * g.n
-    for _, (t, h) in g._edges.items():
+    for _, (t, h) in g.arcs():
         if t != h:
             deg[t] += 1
             deg[h] += 1

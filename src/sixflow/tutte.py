@@ -31,10 +31,6 @@ def group_flow_to_z6(f: GroupFlow) -> Z6Flow:
     return {e: pair_to_z6(p) for e, p in f.items()}
 
 
-def z6_flow_to_group(phi: Z6Flow) -> GroupFlow:
-    return {e: z6_to_pair(c) for e, c in phi.items()}
-
-
 def integer_flow_to_group(g: Multigraph, f: IntegerFlow, k: int = 6) -> Z6Flow:
     """Reduce an integer flow mod k; the trivial direction of the reduction."""
     return {e: f[e] % k for e in g.edge_ids}
@@ -56,7 +52,7 @@ def group_flow_to_integer_flow(
     n = g.n
     exc = [0] * n
     adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-    for eid, (t, h) in sorted(g._edges.items()):
+    for eid, (t, h) in sorted(g.arcs()):
         if t == h:
             continue
         exc[h] += f[eid]
@@ -136,7 +132,7 @@ def _validate_z6_flow(g: Multigraph, phi: Z6Flow) -> None:
         c = phi[eid]
         if not 1 <= c <= 5:
             raise InputError(f"edge {eid}: value {c} is not a nonzero Z6 element")
-    for eid, (t, h) in g._edges.items():
+    for eid, (t, h) in g.arcs():
         if t == h:
             continue
         exc[h] += phi[eid]

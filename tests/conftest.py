@@ -51,7 +51,7 @@ def brute_force_bridges(g: Multigraph) -> frozenset:
     base = len(components(g))
     out = set()
     for eid in g.edge_ids:
-        pruned = Multigraph(g.n, {k: v for k, v in g._edges.items() if k != eid})
+        pruned = Multigraph(g.n, {k: v for k, v in g.arcs() if k != eid})
         if len(components(pruned)) > base:
             out.add(eid)
     return frozenset(out)

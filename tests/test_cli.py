@@ -125,6 +125,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "vertex" in out or "edge" in out
 
+    @pytest.mark.parametrize("mode, edit", [
+        ("theorem2", lambda p: p.update(root="0")),
+        ("k6", lambda p: p.update(root=None)),
+        ("k6", lambda p: p["edges"][0].update(int6=str(p["edges"][0]["int6"]))),
+    ], ids=["root-string", "root-null", "int6-string"])
+    def test_non_integer_json_field_exits_1(self, solved, tmp_path, capsys, mode, edit):
+        gfile, ffile = solved
+        assert main(["verify", gfile, ffile, "--mode", mode]) == 0
+        capsys.readouterr()
+        payload = json.loads(format_flow(parse_flow(open(ffile).read()), "machine"))
+        edit(payload)
+        bfile = tmp_path / "bad.json"
+        bfile.write_text(json.dumps(payload))
+        assert main(["verify", gfile, str(bfile), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_mismatched_graph_exits_1(self, solved, tmp_path, capsys):
         _, ffile = solved
         other = tmp_path / "other.nzf"

@@ -2,15 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sixflow import (
-    InputError,
     Multigraph,
     StructuralError,
-    bridge_partition,
     bridges,
     components,
     is_2_edge_connected,
     two_edge_disjoint_paths,
 )
+from sixflow.connectivity import partition_at_bridge
 from sixflow.testkit import random_2ec_multigraph
 
 from conftest import brute_force_bridges, small_graphs
@@ -68,23 +67,26 @@ class TestIs2EdgeConnected:
         assert not is_2_edge_connected(Multigraph.build(2, []))
 
     def test_k4_minus_edge(self, k4):
-        g = Multigraph(4, {k: v for k, v in k4._edges.items() if k != 5})
+        g = Multigraph(4, {k: v for k, v in k4.arcs() if k != 5})
         assert brute_force_bridges(g) == frozenset()
         assert is_2_edge_connected(g)
+
+
+def partition(g, u):
+    gu = g.delete_vertex(u)
+    return partition_at_bridge(g, u, gu, min(bridges(gu)))
 
 
 class TestBridgePartition:
     def test_single_separating_edge(self):
         # u=0, a=1, b=2: edges ua x2, ub x2, ab
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-        assert bridge_partition(g, 0) == (4, frozenset({1}), frozenset({2}))
+        assert partition(g, 0) == (4, frozenset({1}), frozenset({2}))
 
     def test_stray_component_joins_tail_side(self):
         # u=0, a=1, b=2, c=3: edges ua, ub, ab, uc, uc
         g = Multigraph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-        result = bridge_partition(g, 0)
-        assert result is not None
-        eid, v1, v2 = result
+        eid, v1, v2 = partition(g, 0)
         assert eid == 2
         assert v1 == frozenset({1, 3}) and v2 == frozenset({2})
         # the only G-u edge between the sides is the bridge
@@ -98,11 +100,7 @@ class TestBridgePartition:
 
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
-            assert bridge_partition(k4, u) is None
-
-    def test_too_small(self):
-        with pytest.raises(InputError):
-            bridge_partition(Multigraph.build(1, [(0, 0)]), 0)
+            assert bridges(k4.delete_vertex(u)) == frozenset()
 
 
 class TestTwoEdgeDisjointPaths:

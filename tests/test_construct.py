@@ -13,7 +13,7 @@ from sixflow import (
     verify_nowhere_zero,
     verify_rooted,
 )
-from sixflow.construct import BaseStep, BridgelessStep, ConstructionTrace
+from sixflow.construct import BaseStep, BridgelessStep
 from sixflow.testkit import enumerate_nz_flows, random_2ec_multigraph
 
 
