@@ -119,6 +119,8 @@ def _cmd_verify(args) -> int:
     if not fileio.flow_matches_graph(doc, g):
         print("error: flow file does not match the graph's edge set", file=sys.stderr)
         return EXIT_INPUT
+    if not 0 <= doc.root < g.n:
+        raise InputError(f"flow root {doc.root} is not a vertex of the graph (n={g.n})")
     if args.mode == "group":
         f = doc.group_flow()
         if not verify_flow(g, f):

@@ -3,11 +3,19 @@ the partition at a bridge, and two edge-disjoint paths.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
+
+Bridges, 2-edge-connectivity and the partition at a bridge come from one
+iterative lowpoint DFS (Tarjan 1974) that also numbers the vertices in
+preorder and counts subtree sizes. Every DFS subtree is then an interval of
+the preorder, and a DFS root's interval is its whole component, so
+connectivity, both sides of any bridge, and so the most balanced bridge,
+are read off that one pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from .errors import StructuralError
 from .multigraph import Multigraph
@@ -35,8 +43,17 @@ def components(g: Multigraph) -> list[frozenset[int]]:
     return out
 
 
-def bridges(g: Multigraph) -> frozenset[int]:
-    """All cut-edges, via an iterative lowpoint DFS.
+def _lowpoint_dfs(
+    g: Multigraph,
+) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
+    """One iterative lowpoint DFS over g, orientation ignored.
+
+    Returns (order, disc, size, cut). ``order`` lists the vertices in
+    preorder and ``disc[v]`` is v's index in it. ``size[v]`` counts v's DFS
+    subtree, which is the interval ``order[disc[v] : disc[v] + size[v]]``;
+    a DFS root's interval is its whole component. ``cut`` holds one
+    (edge id, child, root) triple per bridge: the bridge's endpoint farther
+    from the root of its DFS tree, and that root.
 
     Skipping only the single entering edge (by id, not by endpoint pair)
     makes parallel edges behave as back edges, so no parallel edge is ever
@@ -46,13 +63,16 @@ def bridges(g: Multigraph) -> frozenset[int]:
     n = g.n
     disc = [-1] * n
     low = [0] * n
-    found: list[int] = []
+    size = [0] * n
+    order: list[int] = []
+    cut: list[tuple[int, int, int]] = []
     timer = 0
     for s in range(n):
         if disc[s] != -1:
             continue
         disc[s] = low[s] = timer
         timer += 1
+        order.append(s)
         stack = [(s, -1, iter(adj[s]))]
         while stack:
             v, pe, it = stack[-1]
@@ -63,6 +83,7 @@ def bridges(g: Multigraph) -> frozenset[int]:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
+                    order.append(w)
                     stack.append((w, eid, iter(adj[w])))
                     advanced = True
                     break
@@ -70,32 +91,38 @@ def bridges(g: Multigraph) -> frozenset[int]:
                     low[v] = disc[w]
             if not advanced:
                 stack.pop()
+                size[v] = timer - disc[v]
                 if stack:
                     pv = stack[-1][0]
                     if low[v] < low[pv]:
                         low[pv] = low[v]
                     if low[v] > disc[pv]:
-                        found.append(pe)
-    return frozenset(found)
+                        cut.append((pe, v, s))
+    return order, disc, size, cut
+
+
+def bridges(g: Multigraph) -> frozenset[int]:
+    """All cut-edges, via the lowpoint DFS."""
+    return frozenset(eid for eid, _, _ in _lowpoint_dfs(g)[3])
 
 
 def is_2_edge_connected(g: Multigraph) -> bool:
     """Connected (a single vertex counts) with no bridge. Loops are irrelevant."""
-    return len(components(g)) <= 1 and not bridges(g)
+    _, _, size, cut = _lowpoint_dfs(g)
+    return not cut and (g.n == 0 or size[0] == g.n)
 
 
 def require_2_edge_connected(g: Multigraph) -> None:
     """Raise StructuralError naming a disconnection or a bridge."""
-    comps = components(g)
-    if len(comps) > 1:
-        small = min(comps, key=min)
+    order, _, size, cut = _lowpoint_dfs(g)
+    if g.n and size[0] < g.n:
+        small = frozenset(order[:size[0]])  # vertex 0's component
         raise StructuralError(
             f"graph is disconnected: vertices {sorted(small)} form a separate component",
             component=small,
         )
-    b = bridges(g)
-    if b:
-        eid = min(b)
+    if cut:
+        eid = min(eid for eid, _, _ in cut)
         t, h = g.endpoints(eid)
         raise StructuralError(
             f"graph has a bridge: edge {eid} ({t}, {h})", bridge=eid
@@ -103,26 +130,37 @@ def require_2_edge_connected(g: Multigraph) -> None:
 
 
 def partition_at_bridge(
-    g: Multigraph, u: int, gu: Multigraph, eid: int
-) -> tuple[int, frozenset[int], frozenset[int]]:
-    """Split V(G) minus u at the bridge ``eid`` of ``gu`` = G - u.
+    g: Multigraph, u: int, gu: Multigraph
+) -> Optional[tuple[int, frozenset[int], frozenset[int]]]:
+    """Split V(G) minus u at the most balanced bridge of ``gu`` = G - u.
 
-    Returns (eid, V1, V2): V2 is the side of e's head, V1 the rest, so e is
-    the only G - u edge between the sides. Components of G - u containing
-    neither endpoint of e land on the side of e's tail.
+    Returns None when gu has no bridge. Otherwise returns (eid, V1, V2): V2
+    is the side of e's head within its component of G - u, V1 the rest of
+    V(G) - u, so e is the only G - u edge between the sides. Components of
+    G - u containing neither endpoint of e land in V1. The bridge minimises
+    max(|V1|, |V2|), ties going to the smallest edge id.
+
+    One lowpoint DFS gives both sides: the bridge's child side is the
+    child's preorder interval, and its component is its DFS root's.
     """
-    t, h = gu.endpoints(eid)
-    # Components of G-u with e removed; the bridge's two sides plus strays.
-    pruned = Multigraph(gu.n, {k: v for k, v in gu.arcs() if k != eid})
-    comps = components(pruned)
-    head_side = next(c for c in comps if h in c)
-    side1: set[int] = set()
-    for c in comps:
-        if c is not head_side:
-            side1.update(c)
-    back = lambda v: v if v < u else v + 1  # undo delete_vertex relabelling
-    v1 = frozenset(back(v) for v in side1)
-    v2 = frozenset(back(v) for v in head_side)
+    order, disc, size, cut = _lowpoint_dfs(gu)
+    if not cut:
+        return None
+    n = gu.n
+
+    def balance(bridge: tuple[int, int, int]) -> tuple[int, int]:
+        eid, child, root = bridge
+        k = size[child] if gu.endpoints(eid)[1] == child else size[root] - size[child]
+        return max(k, n - k), eid  # k = |V2|
+
+    eid, child, root = min(cut, key=balance)
+    lo, hi = disc[child], disc[child] + size[child]
+    if gu.endpoints(eid)[1] == child:
+        head = order[lo:hi]
+    else:
+        head = order[disc[root]:lo] + order[hi:disc[root] + size[root]]
+    v2 = frozenset([v + (v >= u) for v in head])  # undo delete_vertex relabelling
+    v1 = frozenset(range(g.n)).difference(v2, (u,))
     return eid, v1, v2
 
 
@@ -186,18 +224,25 @@ def two_edge_disjoint_paths(
         a, b = (t, h) if d == +1 else (h, t)
         outgoing.setdefault(a, []).append((eid, b, d))
 
+    # One cursor per vertex, shared by both walks: an edge is used once.
+    cursor = {v: iter(out) for v, out in outgoing.items()}
+
     def extract() -> list[tuple[int, int]]:
         verts = [x]
+        pos = {x: 0}  # vertex -> index in verts
         steps: list[tuple[int, int]] = []
         v = x
         while v != y:
-            eid, w, d = outgoing[v].pop(0)
-            if w in verts:
+            eid, w, d = next(cursor[v])
+            i = pos.get(w)
+            if i is not None:
                 # drop the cycle portion; those edges stay consumed
-                i = verts.index(w)
-                verts = verts[: i + 1]
-                steps = steps[:i]
+                for z in verts[i + 1:]:
+                    del pos[z]
+                del verts[i + 1:]
+                del steps[i:]
             else:
+                pos[w] = len(verts)
                 verts.append(w)
                 steps.append((eid, d))
             v = w

@@ -4,9 +4,11 @@ vanishes on every edge at a chosen root vertex.
 The recursion contracts pieces of the graph, solves the smaller instance,
 then extends the flow back over the contracted edges. Two cases:
 
-* cut case - the graph minus the root has a bridge e; the rest of the edges
-  split into two sides, each side is contracted away in turn, and the two
-  sub-flows are glued along e (negating one f3 component if they disagree).
+* cut case - the graph minus the root has a bridge; the most balanced one,
+  e, splits the rest of the edges into two sides (the larger side as small
+  as possible, so a cycle recurses only logarithmically deep). Each side is
+  contracted away in turn, and the two sub-flows are glued along e
+  (negating one f3 component if they disagree).
 * bridgeless case - pick two root edges into the same component of G - root,
   join their far endpoints by two edge-disjoint paths, contract the path
   union H together with the root-to-H edges in one contraction, solve, and
@@ -28,7 +30,7 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .connectivity import (
-    bridges,
+    bridges,  # not called here; perfbench/spans.py patches it by this name
     components,
     is_2_edge_connected,
     partition_at_bridge,
@@ -50,8 +52,7 @@ class BaseStep:
 class CutStep:
     depth: int
     bridge: int
-    side1: frozenset[int]
-    side2: frozenset[int]
+    side_sizes: tuple[int, int]
     contracted_sizes: tuple[int, int]
 
 
@@ -122,9 +123,8 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
         trace.steps.append(BaseStep(depth=depth, loop_edges=g.m))
         return {eid: (0, 1) for eid in g.edge_ids}
     gu = g.delete_vertex(u)
-    cut_edges = bridges(gu)
-    if cut_edges:
-        cut = partition_at_bridge(g, u, gu, min(cut_edges))
+    cut = partition_at_bridge(g, u, gu)
+    if cut is not None:
         flow = yield from _cut_case(g, u, cut, depth, trace, debug)
     else:
         flow = yield from _bridgeless_case(g, u, gu, depth, trace, debug)
@@ -135,23 +135,19 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
 
 def _cut_case(g, u, cut, depth, trace, debug):
     eid, side1, side2 = cut
-    e1: set[int] = set()
-    e2: set[int] = set()
+    # Side label per vertex: 0 at the root, 1 or 2 on a side. An edge's
+    # labels OR-ed give its bucket; 3 means it crosses the partition.
+    side = [0] * g.n
+    for v in side1:
+        side[v] = 1
+    for v in side2:
+        side[v] = 2
+    buckets: tuple[list[int], ...] = ([], [], [], [])
     for other, (t, h) in g.arcs():
-        if other == eid:
-            continue
-        if t == u and h == u:
-            e1.add(other)  # loops at the root ride with side 1
-            continue
-        v = t if t != u else h
-        if v in side1:
-            _check(h == u or t == u or (t in side1 and h in side1),
-                   "cut-case edge crosses the partition")
-            e1.add(other)
-        else:
-            _check(v in side2 and (h == u or t == u or (t in side2 and h in side2)),
-                   "cut-case edge crosses the partition")
-            e2.add(other)
+        buckets[side[t] | side[h]].append(other)
+    _check(buckets[3] == [eid], "cut-case edge crosses the partition")
+    e1 = buckets[1] + buckets[0]  # loops at the root ride with side 1
+    e2 = buckets[2]
 
     g1, image1 = g.contract(e1)
     g2, image2 = g.contract(e2)
@@ -164,7 +160,7 @@ def _cut_case(g, u, cut, depth, trace, debug):
         _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
                "cut-case contraction broke 2-edge-connectivity")
     trace.steps.append(CutStep(
-        depth=depth, bridge=eid, side1=side1, side2=side2,
+        depth=depth, bridge=eid, side_sizes=(len(side1), len(side2)),
         contracted_sizes=(len(e1), len(e2)),
     ))
 

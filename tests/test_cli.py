@@ -142,6 +142,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["group", "theorem2", "k6"])
+    def test_root_outside_graph_exits_1(self, tmp_path, capsys, mode):
+        gfile = tmp_path / "t.nzf"
+        gfile.write_text(TRIANGLE)
+        assert main(["solve", str(gfile)]) == 0
+        flow = capsys.readouterr().out.replace("root=0", "root=99")
+        ffile = tmp_path / "t.flow"
+        ffile.write_text(flow)
+        assert main(["verify", str(gfile), str(ffile), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "99" in captured.err
+        assert "ok" not in captured.out
+
     def test_mismatched_graph_exits_1(self, solved, tmp_path, capsys):
         _, ffile = solved
         other = tmp_path / "other.nzf"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sixflow import (
     Multigraph,
@@ -73,8 +73,19 @@ class TestIs2EdgeConnected:
 
 
 def partition(g, u):
+    return partition_at_bridge(g, u, g.delete_vertex(u))
+
+
+def brute_force_partition_sizes(g, u):
+    """max(|V1|, |V2|) at each bridge of G - u: delete it and recount."""
     gu = g.delete_vertex(u)
-    return partition_at_bridge(g, u, gu, min(bridges(gu)))
+    out = {}
+    for eid in brute_force_bridges(gu):
+        head = gu.endpoints(eid)[1]
+        pruned = Multigraph(gu.n, {k: v for k, v in gu.arcs() if k != eid})
+        k = len(next(c for c in components(pruned) if head in c))
+        out[eid] = max(k, gu.n - k)
+    return out
 
 
 class TestBridgePartition:
@@ -98,9 +109,53 @@ class TestBridgePartition:
         }
         assert crossing == {eid}
 
+    def test_cycle_splits_in_the_middle(self):
+        # G - 0 is the path 1-2-...-8; its middle edge (4, 5) is edge 4
+        n = 9
+        g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
+        assert partition(g, 0) == (4, frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
+
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
             assert bridges(k4.delete_vertex(u)) == frozenset()
+
+
+def _check_partition(g, u):
+    gu = g.delete_vertex(u)
+    cut = partition_at_bridge(g, u, gu)
+    found = bridges(gu)
+    assert (cut is None) == (not found)
+    if cut is None:
+        return
+    eid, v1, v2 = cut
+    assert eid in found
+    assert not v1 & v2 and v1 | v2 == set(range(g.n)) - {u}
+    assert g.endpoints(eid)[1] in v2
+    crossing = {
+        k for k, (t, h) in g.arcs() if u not in (t, h) and (t in v1) != (h in v1)
+    }
+    assert crossing == {eid}
+    sizes = brute_force_partition_sizes(g, u)
+    best = min(sizes.values())
+    assert max(len(v1), len(v2)) == sizes[eid] == best
+    assert eid == min(k for k, s in sizes.items() if s == best)
+
+
+class TestPartitionProperties:
+    def test_small_graphs_every_root(self):
+        checked = 0
+        for g in small_graphs(4, 4):
+            for u in range(g.n):
+                _check_partition(g, u)
+                checked += 1
+        assert checked > 3000
+
+    @settings(deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 15), st.integers(0, 500))
+    def test_ear_graphs_every_root(self, n, ears, seed):
+        g = random_2ec_multigraph(n, ears, seed)
+        for u in range(g.n):
+            _check_partition(g, u)
 
 
 class TestTwoEdgeDisjointPaths:

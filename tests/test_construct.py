@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +101,15 @@ class TestTraceShape:
         f, trace = solve(g, 0)
         assert trace.depth > 1000
         assert verify_rooted(g, 0, f)
+
+    @pytest.mark.parametrize("u", [0, 1000])
+    def test_cycle_depth_is_logarithmic(self, u):
+        # G - u is a path: every step is a cut step at its middle bridge
+        n = 2000
+        g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
+        f, trace = solve(g, u)
+        assert trace.depth <= 2 * math.ceil(math.log2(n))
+        assert verify_rooted(g, u, f)
 
 
 class TestExtendNonzeroParallel:
