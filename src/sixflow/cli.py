@@ -168,7 +168,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    print("size seed n m wall_ms depth aug_rounds")
+    print("size seed n m wall_ms depth aug_rounds scanned")
     for size in sizes:
         for seed in seeds:
             g = random_2ec_multigraph(size, size, seed)
@@ -179,11 +179,12 @@ def _cmd_bench(args) -> int:
                 flow, trace = solve(g, 0)
                 group_flow_to_integer_flow(g, group_flow_to_z6(flow), stats)
                 elapsed = (time.perf_counter() - t0) * 1000.0
-                row = (g.n, g.m, elapsed, trace.depth, stats["augmentation_rounds"])
+                row = (g.n, g.m, elapsed, trace.depth, stats["augmentation_rounds"],
+                       stats["edges_scanned"])
                 if best is None or elapsed < best[2]:
                     best = row
-            n, m, wall, depth, rounds = best
-            print(f"{size} {seed} {n} {m} {wall:.1f} {depth} {rounds}")
+            n, m, wall, depth, rounds, scanned = best
+            print(f"{size} {seed} {n} {m} {wall:.1f} {depth} {rounds} {scanned}")
     return EXIT_OK
 
 

@@ -217,7 +217,19 @@ def two_edge_disjoint_paths(
                 f"no two edge-disjoint paths between {x} and {y}"
             )
 
-    # Decompose the 2-unit flow into two simple paths.
+    return _split_unit_flow(g, x, y, used)
+
+
+def _split_unit_flow(
+    g: Multigraph, x: int, y: int, used: dict[int, int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Decompose a 2-unit x-y flow into two edge-disjoint simple paths.
+
+    ``used`` maps each edge carrying flow to its direction (+1 tail to head,
+    -1 head to tail). Each walk leaves a vertex by its smallest unused
+    outgoing edge; when it returns to a vertex already on the walk, the
+    cycle in between is cut out, and its edges stay used.
+    """
     outgoing: dict[int, list[tuple[int, int, int]]] = {}
     for eid, d in sorted(used.items()):
         t, h = g.endpoints(eid)

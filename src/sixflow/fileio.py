@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 from .flows import GroupFlow, IntegerFlow
@@ -29,8 +30,7 @@ from .multigraph import Multigraph
 from .tutte import pair_to_z6
 
 
-@dataclass(frozen=True)
-class FlowEntry:
+class FlowEntry(NamedTuple):
     edge_id: int
     tail: int
     head: int
@@ -143,7 +143,7 @@ def parse_flow(text: str) -> FlowDocument:
             if len(parts) != 8:
                 raise InputError(f"line {lineno}: malformed flow line {line!r}")
             vals = [_int(p, lineno) for p in parts[1:]]
-            entries.append(FlowEntry(*vals))
+            entries.append(FlowEntry._make(vals))
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if root is None:
@@ -176,7 +176,7 @@ def _parse_flow_json(text: str) -> FlowDocument:
             if type(value) is not int
         )
         raise InputError(f"edges[{i}]: {key} value {value!r} is not an integer")
-    doc = FlowDocument(root=root, entries=tuple(starmap(FlowEntry, rows)))
+    doc = FlowDocument(root=root, entries=tuple(map(FlowEntry._make, rows)))
     _validate_flow_document(doc)
     return doc
 

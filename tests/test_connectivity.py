@@ -9,7 +9,7 @@ from sixflow import (
     is_2_edge_connected,
     two_edge_disjoint_paths,
 )
-from sixflow.connectivity import partition_at_bridge
+from sixflow.connectivity import _split_unit_flow, partition_at_bridge
 from sixflow.testkit import random_2ec_multigraph
 
 from conftest import brute_force_bridges, small_graphs
@@ -173,6 +173,18 @@ class TestTwoEdgeDisjointPaths:
         p1, p2 = two_edge_disjoint_paths(triangle, 0, 1)
         assert [e for e, _ in p1] == [0]
         assert [e for e, _ in p2] == [2, 1]
+
+    def test_split_cuts_out_a_revisited_cycle(self):
+        # The first walk goes 0 -> 1 -> 2 -> 3 and back to 1; the cycle
+        # 1 -> 2 -> 3 -> 1 is cut out and the walk leaves 1 by edge 4.
+        # Edges 2 and 5 carry flow against their orientation.
+        g = Multigraph.build(5, [(0, 1), (1, 2), (3, 2), (3, 1), (1, 4), (4, 0)])
+        used = {0: +1, 1: +1, 2: -1, 3: +1, 4: +1, 5: -1}
+        p1, p2 = _split_unit_flow(g, 0, 4, used)
+        assert p1 == [(0, +1), (4, +1)]
+        assert p2 == [(5, -1)]
+        assert self._walk(g, p1, 0) == [0, 1, 4]
+        assert self._walk(g, p2, 0) == [0, 4]
 
     def test_no_two_paths(self):
         g = Multigraph.build(2, [(0, 1)])
