@@ -8,8 +8,10 @@ Bridges, 2-edge-connectivity and the partition at a bridge come from one
 iterative lowpoint DFS (Tarjan 1974) that also numbers the vertices in
 preorder and counts subtree sizes. Every DFS subtree is then an interval of
 the preorder, and a DFS root's interval is its whole component, so
-connectivity, both sides of any bridge, and so the most balanced bridge,
-are read off that one pass.
+connectivity, the component of every vertex, both sides of any bridge, and
+so the most balanced bridge, are read off that one pass. The recursion runs
+it once per step, on G - u in G's own vertex ids; ``components`` is a
+separate breadth-first pass that the recursion does not use.
 """
 
 from __future__ import annotations
@@ -130,38 +132,49 @@ def require_2_edge_connected(g: Multigraph) -> None:
 
 
 def partition_at_bridge(
-    g: Multigraph, u: int, gu: Multigraph
-) -> Optional[tuple[int, frozenset[int], frozenset[int]]]:
-    """Split V(G) minus u at the most balanced bridge of ``gu`` = G - u.
+    gu: Multigraph, u: int
+) -> tuple[Optional[tuple[int, frozenset[int], frozenset[int]]], list[int]]:
+    """Split V - u at the most balanced bridge of ``gu`` = G - u.
 
-    Returns None when gu has no bridge. Otherwise returns (eid, V1, V2): V2
-    is the side of e's head within its component of G - u, V1 the rest of
-    V(G) - u, so e is the only G - u edge between the sides. Components of
-    G - u containing neither endpoint of e land in V1. The bridge minimises
-    max(|V1|, |V2|), ties going to the smallest edge id.
+    ``gu`` keeps G's vertex ids, with u isolated (``Multigraph.delete_vertex``).
+    Returns (cut, comp). ``comp[v]`` labels v's component of G - u by its
+    smallest vertex; u is its own component. ``cut`` is None when gu has no
+    bridge, and otherwise (eid, V1, V2): V2 is the side of e's head within
+    its component of G - u, V1 the rest of V - u, so e is the only G - u
+    edge between the sides. Components of G - u containing neither endpoint
+    of e land in V1. The bridge minimises max(|V1|, |V2|), ties going to the
+    smallest edge id.
 
-    One lowpoint DFS gives both sides: the bridge's child side is the
-    child's preorder interval, and its component is its DFS root's.
+    One lowpoint DFS gives all of it: a DFS root's preorder interval is its
+    component, the bridge's child side is the child's interval.
     """
     order, disc, size, cut = _lowpoint_dfs(gu)
-    if not cut:
-        return None
     n = gu.n
+    comp = [0] * n
+    start = 0
+    while start < n:
+        root = order[start]  # DFS roots come in increasing vertex order
+        stop = start + size[root]
+        for v in order[start:stop]:
+            comp[v] = root
+        start = stop
+    if not cut:
+        return None, comp
+    rest = n - 1  # |V - u|
 
     def balance(bridge: tuple[int, int, int]) -> tuple[int, int]:
         eid, child, root = bridge
         k = size[child] if gu.endpoints(eid)[1] == child else size[root] - size[child]
-        return max(k, n - k), eid  # k = |V2|
+        return max(k, rest - k), eid  # k = |V2|
 
     eid, child, root = min(cut, key=balance)
     lo, hi = disc[child], disc[child] + size[child]
     if gu.endpoints(eid)[1] == child:
-        head = order[lo:hi]
+        v2 = frozenset(order[lo:hi])
     else:
-        head = order[disc[root]:lo] + order[hi:disc[root] + size[root]]
-    v2 = frozenset([v + (v >= u) for v in head])  # undo delete_vertex relabelling
-    v1 = frozenset(range(g.n)).difference(v2, (u,))
-    return eid, v1, v2
+        v2 = frozenset(order[disc[root]:lo] + order[hi:disc[root] + size[root]])
+    v1 = frozenset(range(n)).difference(v2, (u,))
+    return (eid, v1, v2), comp
 
 
 def two_edge_disjoint_paths(

@@ -18,6 +18,12 @@ then extends the flow back over the contracted edges. Two cases:
   survives). The extension and its checks read only the edges at the root
   and at H.
 
+Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
+(the root stays as an isolated vertex, so nothing is renumbered), and one
+lowpoint DFS of it, ``partition_at_bridge``, picks the case. It gives the
+most balanced bridge, or, when there is none, the component of each vertex,
+over which the bridgeless case counts the root edges.
+
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
 """
@@ -31,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .connectivity import (
     bridges,  # not called here; perfbench/spans.py patches it by this name
-    components,
+    components,  # not called here either; patched by name the same way
     is_2_edge_connected,
     partition_at_bridge,
     require_2_edge_connected,
@@ -123,11 +129,11 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
         trace.steps.append(BaseStep(depth=depth, loop_edges=g.m))
         return {eid: (0, 1) for eid in g.edge_ids}
     gu = g.delete_vertex(u)
-    cut = partition_at_bridge(g, u, gu)
+    cut, comp = partition_at_bridge(gu, u)
     if cut is not None:
         flow = yield from _cut_case(g, u, cut, depth, trace, debug)
     else:
-        flow = yield from _bridgeless_case(g, u, gu, depth, trace, debug)
+        flow = yield from _bridgeless_case(g, u, gu, comp, depth, trace, debug)
     if debug:
         _check(verify_rooted(g, u, flow), f"flow fails the rooted check at depth {depth}")
     return flow
@@ -177,26 +183,18 @@ def _cut_case(g, u, cut, depth, trace, debug):
     return flow
 
 
-def _bridgeless_case(g, u, gu, depth, trace, debug):
+def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     """Contract H (the path union) and the spokes (the root edges into H)
     in one contraction, solve the smaller instance, then extend back.
 
-    Besides the work on G - u (components, paths), one scan of G's edges
-    finds the root edges and the loops, and one contraction builds the
-    child instance. Every other pass reads only the edges at u and at H's
-    vertices, since the extension changes no value elsewhere. The
-    intermediate graph G/H is built only in debug mode, to re-verify it.
+    ``gu`` is G - u in G's vertex ids and ``comp`` labels its components,
+    both from the step's one DFS. Besides the paths in G - u, one scan of
+    G's edges finds the root edges and the loops, and one contraction
+    builds the child instance. Every other pass reads only the edges at u
+    and at H's vertices, since the extension changes no value elsewhere.
+    The intermediate graph G/H is built only in debug mode, to re-verify it.
     """
-    to_g = lambda v: v if v < u else v + 1
-    to_gu = lambda v: v if v < u else v - 1
-
-    comps = components(gu)
-    spokes_per_comp = [0] * len(comps)
-    comp_of = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            comp_of[v] = i
-    root_edges = []  # non-loop edges at u, ascending id
+    root_edges = []  # (edge id, far endpoint) for non-loop edges at u, ascending id
     root_loops = []
     other_loops = []  # (edge id, vertex) for loops away from u
     for eid, (t, h) in g.arcs():
@@ -206,66 +204,46 @@ def _bridgeless_case(g, u, gu, depth, trace, debug):
             else:
                 other_loops.append((eid, t))
         elif t == u or h == u:
-            root_edges.append((eid, to_gu(h if t == u else t)))
-    root_edges.sort()
+            root_edges.append((eid, h if t == u else t))
+    spokes_per_comp = [0] * g.n  # indexed by component label
     for eid, w in root_edges:
-        spokes_per_comp[comp_of[w]] += 1
-    _check(bool(root_edges) and all(k >= 2 for k in spokes_per_comp),
-           "a component of G - root has fewer than two edges to the root")
+        spokes_per_comp[comp[w]] += 1
+    _check(bool(root_edges) and all(
+        spokes_per_comp[v] >= 2 for v in range(g.n) if comp[v] == v != u),
+        "a component of G - root has fewer than two edges to the root")
 
     e_first, x = root_edges[0]
-    target_comp = comp_of[x]
+    target_comp = comp[x]
     e_second, x2 = next(
-        ((eid, w) for eid, w in root_edges[1:] if comp_of[w] == target_comp),
+        ((eid, w) for eid, w in root_edges[1:] if comp[w] == target_comp),
         (-1, -1),
     )
     _check(e_second >= 0, "no second root edge into the chosen component")
 
-    if x == x2:
-        path_edges: frozenset[int] = frozenset()
-        h_vertices = {to_g(x)}
-    else:
-        p1, p2 = two_edge_disjoint_paths(gu, x, x2)
-        path_edges = frozenset(eid for eid, _ in p1 + p2)
-        h_vertices = {to_g(x), to_g(x2)}
-        for eid in path_edges:
-            t, h = g.endpoints(eid)
-            h_vertices.add(t)
-            h_vertices.add(h)
-        deg = {}
-        for eid in path_edges:
-            t, h = g.endpoints(eid)
-            deg[t] = deg.get(t, 0) + 1
-            deg[h] = deg.get(h, 0) + 1
-        _check(all(d % 2 == 0 for d in deg.values()),
-               "path union has a vertex of odd degree")
+    p1, p2 = two_edge_disjoint_paths(gu, x, x2)  # both empty when x == x2
+    path_edges = frozenset(eid for eid, _ in p1 + p2)
+    h_vertices = {x, x2}
+    deg = {}
+    for eid in path_edges:
+        for v in g.endpoints(eid):
+            h_vertices.add(v)
+            deg[v] = deg.get(v, 0) + 1
+    _check(all(d % 2 == 0 for d in deg.values()),
+           "path union has a vertex of odd degree")
     _check(u not in h_vertices, "path union touches the root")
-    h_gu = {to_gu(v) for v in h_vertices}
 
-    spokes = frozenset(eid for eid, w in root_edges if w in h_gu)
+    spokes = frozenset(eid for eid, w in root_edges if w in h_vertices)
     _check(len(spokes) >= 2, "fewer than two root edges reach the path union")
 
-    # Vertex images under G -> G/H, by union-find over the path edges alone.
-    image: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while v in image:
-            image[v] = image.get(image[v], image[v])  # path halving
-            v = image[v]
-        return v
-
-    for eid in path_edges:
-        a, b = (find(v) for v in g.endpoints(eid))
-        if a != b:
-            image[max(a, b)] = min(a, b)
-    hub = find(min(h_vertices))
-    _check(all(find(v) == hub for v in h_vertices),
+    image = g.merge_image(path_edges)  # vertex images under G -> G/H
+    hub = image[x]
+    _check(all(image[v] == hub for v in h_vertices),
            "path union did not contract to a single vertex")
-    u_in_1 = find(u)
+    u_in_1 = image[u]
     _check(u_in_1 != hub, "root merged into the path union")
     for eid in spokes:
         t, h = g.endpoints(eid)
-        _check({find(t), find(h)} == {u_in_1, hub}, "spoke edges are not a parallel class")
+        _check({image[t], image[h]} == {u_in_1, hub}, "spoke edges are not a parallel class")
 
     # G/H/spokes in one contraction: same vertex numbering and edge order as
     # contracting H first and the spokes second.
@@ -286,9 +264,9 @@ def _bridgeless_case(g, u, gu, depth, trace, debug):
     adj = gu.undirected_adj()
     crossing: list[tuple[int, int]] = []
     inner: list[int] = []
-    for v in h_gu:
+    for v in h_vertices:
         for eid, w in adj[v]:
-            if w not in h_gu:
+            if w not in h_vertices:
                 crossing.append((eid, 1 if gu.endpoints(eid)[1] == v else -1))
             elif eid not in path_edges:
                 inner.append(eid)
@@ -318,7 +296,7 @@ def _bridgeless_case(g, u, gu, depth, trace, debug):
         h_graph = Multigraph(g.n, {
             eid: g.endpoints(eid) for eid in sorted(path_edges.union(f3_known))
         })
-        f3_full = extend_flow_over_contraction(h_graph, path_edges, f3_known, modulus=3)
+        f3_full = extend_flow_over_contraction(h_graph, path_edges, f3_known)
         for eid in path_edges:
             flow[eid] = (1, f3_full[eid])
     _check(all(flow[eid][1] != 0 for eid in spokes), "a spoke edge lost its f3 value")
@@ -354,9 +332,8 @@ def extend_flow_over_contraction(
     g: Multigraph,
     contracted: Iterable[int],
     known: dict[int, int],
-    modulus: int = 3,
 ) -> dict[int, int]:
-    """Extend a flow on G/S to all of G (values mod ``modulus``).
+    """Extend a mod-3 flow on G/S to all of G.
 
     ``known`` must cover every edge of g outside S and form a flow on G/S.
     The S-edges are fixed through a spanning forest of (V, S): non-tree
@@ -421,10 +398,10 @@ def extend_flow_over_contraction(
             eid = parent_edge[v]
             t, h = g.endpoints(eid)
             sign = 1 if h == v else -1
-            val = (-sign * exc[v]) % modulus
+            val = (-sign * exc[v]) % 3
             total[eid] = val
             exc[h] += val
             exc[t] -= val
-        _check(exc[start] % modulus == 0,
+        _check(exc[start] % 3 == 0,
                "contracted component has nonzero total excess")
     return total

@@ -94,19 +94,12 @@ class Multigraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def contract(self, s: Iterable[int]) -> tuple["Multigraph", list[int]]:
-        """Contract the edge set S, keeping surviving edge ids and orientations.
+    def merge_image(self, s: Iterable[int]) -> list[int]:
+        """Vertex image of contracting the edge set S, by union-find.
 
-        One result vertex per connected component of the spanning subgraph
-        (V, S); result vertices are numbered by smallest original member.
-        Edges whose remapped endpoints coincide become loops and are kept.
-        Returns G/S and the vertex image: ``image[v]`` is the vertex of G/S
-        that v was merged into.
+        ``image[v]`` is v's connected component of the spanning subgraph
+        (V, S); components are numbered 0, 1, ... by smallest member.
         """
-        s = frozenset(s)
-        for eid in s:
-            if eid not in self._edges:
-                raise InputError(f"unknown edge id {eid} in contraction set")
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -116,6 +109,8 @@ class Multigraph:
             return a
 
         for eid in s:
+            if eid not in self._edges:
+                raise InputError(f"unknown edge id {eid} in contraction set")
             t, h = self._edges[eid]
             rt, rh = find(t), find(h)
             if rt != rh:
@@ -124,20 +119,27 @@ class Multigraph:
                 else:
                     parent[rt] = rh
         image = [0] * self.n
-        next_id = 0
         assigned: dict[int, int] = {}
         for v in range(self.n):
-            r = find(v)
-            if r not in assigned:
-                assigned[r] = next_id
-                next_id += 1
-            image[v] = assigned[r]
+            image[v] = assigned.setdefault(find(v), len(assigned))
+        return image
+
+    def contract(self, s: Iterable[int]) -> tuple["Multigraph", list[int]]:
+        """Contract the edge set S, keeping surviving edge ids and orientations.
+
+        One result vertex per connected component of the spanning subgraph
+        (V, S), numbered as in ``merge_image``. Edges whose remapped
+        endpoints coincide become loops and are kept. Returns G/S and the
+        vertex image: ``image[v]`` is the vertex of G/S that v was merged into.
+        """
+        s = frozenset(s)
+        image = self.merge_image(s)
         edges = {
             eid: (image[t], image[h])
             for eid, (t, h) in self._edges.items()
             if eid not in s
         }
-        return Multigraph(next_id, edges), image
+        return Multigraph(max(image, default=-1) + 1, edges), image
 
     def reverse_edge(self, eid: int) -> "Multigraph":
         """Swap tail and head of one edge."""
@@ -147,18 +149,15 @@ class Multigraph:
         return Multigraph(self.n, edges)
 
     def delete_vertex(self, u: int) -> "Multigraph":
-        """Remove u and every edge at u; vertices above u shift down by one.
+        """G - u: drop every edge at u and keep every vertex id.
 
-        Surviving edges keep their ids, so results on G - u (paths, bridges)
-        transfer back to G directly by edge id.
+        u stays behind as an isolated vertex, so vertex ids and edge ids on
+        G - u are those of G, and results on it (bridges, components,
+        paths) transfer back to G unchanged.
         """
         self._check_vertex(u)
-        edges = {
-            eid: (t - (t > u), h - (h > u))
-            for eid, (t, h) in self._edges.items()
-            if t != u and h != u
-        }
-        return Multigraph(self.n - 1, edges)
+        edges = {eid: ends for eid, ends in self._edges.items() if u not in ends}
+        return Multigraph(self.n, edges)
 
     # -- misc ------------------------------------------------------------
 

@@ -98,7 +98,7 @@ def rooted_flows(g: Multigraph, u: int, flows: list[dict]) -> list[dict]:
     return [f for f in flows if all(f[eid][0] == 0 for eid in at_u)]
 
 
-def check_rooted_flows_exhaustive(g: Multigraph, guard_edges: int | None = None) -> bool:
+def check_rooted_flows_exhaustive(g: Multigraph) -> bool:
     """Oracle cross-check of the rooted construction on one small graph.
 
     For every root u: some enumerated nowhere-zero Z2 x Z3 flow has f2 = 0
@@ -106,7 +106,7 @@ def check_rooted_flows_exhaustive(g: Multigraph, guard_edges: int | None = None)
     """
     if not is_2_edge_connected(g):
         raise InputError("oracle requires a 2-edge-connected graph")
-    all_flows = enumerate_nz_flows(g, "z2xz3", guard_edges)
+    all_flows = enumerate_nz_flows(g, "z2xz3")
     for u in g.vertices():
         valid = rooted_flows(g, u, all_flows)
         if not valid:

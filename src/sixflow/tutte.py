@@ -36,9 +36,9 @@ def group_flow_to_z6(f: GroupFlow) -> Z6Flow:
     return {e: pair_to_z6(p) for e, p in f.items()}
 
 
-def integer_flow_to_group(g: Multigraph, f: IntegerFlow, k: int = 6) -> Z6Flow:
-    """Reduce an integer flow mod k; the trivial direction of the reduction."""
-    return {e: f[e] % k for e in g.edge_ids}
+def integer_flow_to_group(g: Multigraph, f: IntegerFlow) -> Z6Flow:
+    """Reduce an integer flow mod 6; the trivial direction of the reduction."""
+    return {e: f[e] % 6 for e in g.edge_ids}
 
 
 def group_flow_to_integer_flow(

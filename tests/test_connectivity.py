@@ -73,7 +73,7 @@ class TestIs2EdgeConnected:
 
 
 def partition(g, u):
-    return partition_at_bridge(g, u, g.delete_vertex(u))
+    return partition_at_bridge(g.delete_vertex(u), u)[0]
 
 
 def brute_force_partition_sizes(g, u):
@@ -84,7 +84,7 @@ def brute_force_partition_sizes(g, u):
         head = gu.endpoints(eid)[1]
         pruned = Multigraph(gu.n, {k: v for k, v in gu.arcs() if k != eid})
         k = len(next(c for c in components(pruned) if head in c))
-        out[eid] = max(k, gu.n - k)
+        out[eid] = max(k, gu.n - 1 - k)  # |V1| counts V - u, not u itself
     return out
 
 
@@ -122,7 +122,13 @@ class TestBridgePartition:
 
 def _check_partition(g, u):
     gu = g.delete_vertex(u)
-    cut = partition_at_bridge(g, u, gu)
+    cut, comp = partition_at_bridge(gu, u)
+    # the labels group V(G - u) exactly as components() does, by smallest vertex
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(comp[v], set()).add(v)
+    assert [frozenset(c) for _, c in sorted(groups.items())] == components(gu)
+    assert all(min(c) == label for label, c in groups.items())
     found = bridges(gu)
     assert (cut is None) == (not found)
     if cut is None:

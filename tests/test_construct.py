@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sixflow import (
     InputError,
+    InternalCheckError,
     Multigraph,
     StructuralError,
     extend_flow_over_contraction,
@@ -15,7 +18,8 @@ from sixflow import (
     verify_nowhere_zero,
     verify_rooted,
 )
-from sixflow.construct import BaseStep, BridgelessStep
+from sixflow import construct
+from sixflow.construct import BaseStep, BridgelessStep, ConstructionTrace, _solve_task
 from sixflow.testkit import enumerate_nz_flows, random_2ec_multigraph
 
 
@@ -112,6 +116,60 @@ class TestTraceShape:
         assert verify_rooted(g, u, f)
 
 
+class TestBridgelessChecksFire:
+    """Each always-on check of the bridgeless step, reached on a bad input.
+
+    The first two graphs are not 2-edge-connected, so ``solve`` would
+    reject them; the step is driven directly, up to its first child.
+    """
+
+    @staticmethod
+    def first_step(g, u=0):
+        with pytest.raises(InternalCheckError) as exc:
+            next(_solve_task(g, u, 0, ConstructionTrace(), False))
+        return str(exc.value)
+
+    def test_component_with_one_root_edge(self):
+        g = Multigraph.build(3, [(0, 1), (1, 2), (1, 2)])
+        assert self.first_step(g) == (
+            "a component of G - root has fewer than two edges to the root")
+
+    def test_component_with_no_root_edge(self):
+        # {1} has both root edges, {2, 3} has none
+        g = Multigraph.build(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
+        assert self.first_step(g) == (
+            "a component of G - root has fewer than two edges to the root")
+
+    def test_odd_path_union(self, k4, monkeypatch):
+        # G - 0 is the triangle 1, 2, 3; x = 1, x2 = 2. Edges 3 = (1, 2) and
+        # 4 = (1, 3) leave 2 and 3 with odd degree.
+        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
+                            lambda gu, x, y: ([(3, 1)], [(4, 1)]))
+        assert self.first_step(k4) == "path union has a vertex of odd degree"
+
+    def test_disconnected_path_union(self, k4, monkeypatch):
+        # an empty (so even) path union with x != x2 leaves H in two pieces
+        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
+                            lambda gu, x, y: ([], []))
+        assert self.first_step(k4) == "path union did not contract to a single vertex"
+
+
+def test_perfbench_patch_targets_exist():
+    # perfbench/spans.py patches these names in place; construct keeps the
+    # imports of bridges and components only so that the patches land
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (getattr(owner, "__name__", owner), attr)
+        for owner, attr, *_ in spans.TARGETS
+        if not hasattr(owner, attr)
+    ]
+    assert missing == []
+    assert len(spans.TARGETS) > 0
+
+
 class TestExtendNonzeroParallel:
     def test_two_same_sense_sum_zero(self):
         vals = extend_nonzero_parallel(0, 2, [1, 1])
@@ -140,7 +198,7 @@ class TestExtendOverContraction:
     def test_single_contracted_edge(self, triangle):
         # contract edge 0; remaining digon carries f3 = 1 around
         known = {1: 1, 2: 1}
-        full = extend_flow_over_contraction(triangle, {0}, known, modulus=3)
+        full = extend_flow_over_contraction(triangle, {0}, known)
         assert full[0] == 1
         assert verify_flow(triangle, {e: (0, v) for e, v in full.items()})
 
@@ -148,13 +206,13 @@ class TestExtendOverContraction:
         # spokes of a wheel contracted: each leaf has a single unknown
         g = Multigraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
         known = {3: 1, 4: 1, 5: 1}
-        full = extend_flow_over_contraction(g, {0, 1, 2}, known, modulus=3)
+        full = extend_flow_over_contraction(g, {0, 1, 2}, known)
         f = {e: (0, v) for e, v in full.items()}
         assert verify_flow(g, f)
 
     def test_zero_extends_to_zero(self, k4):
         known = {3: 0, 4: 0, 5: 0}
-        full = extend_flow_over_contraction(k4, {0, 1, 2}, known, modulus=3)
+        full = extend_flow_over_contraction(k4, {0, 1, 2}, known)
         assert all(full[e] == 0 for e in (0, 1, 2))
 
 

@@ -31,6 +31,16 @@ class TestBuild:
             Multigraph.build(2, [(0, 2)])
 
 
+def brute_force_image(g, s):
+    """Components of the spanning subgraph (V, S), numbered by smallest member."""
+    spanning = Multigraph(g.n, {eid: g.endpoints(eid) for eid in sorted(s)})
+    image = [0] * g.n
+    for i, comp in enumerate(components(spanning)):  # ordered by smallest vertex
+        for v in comp:
+            image[v] = i
+    return image
+
+
 class TestContract:
     def test_triangle_one_edge(self, triangle):
         h, img = triangle.contract({0})
@@ -69,6 +79,7 @@ class TestContract:
             for r in range(len(ids) + 1):
                 for s in itertools.combinations(ids, r):
                     h, img = g.contract(s)
+                    assert img == g.merge_image(s) == brute_force_image(g, s)
                     assert h.m == g.m - len(s)
                     for eid in h.edge_ids:
                         t, hd = g.endpoints(eid)
@@ -108,6 +119,7 @@ class TestContract:
             assert once.n == twice.n
             assert list(once.edges()) == list(twice.edges())
             assert image_once == [image_b[i] for i in image_a]
+            assert image_once == brute_force_image(g, a | b)
 
 
 class TestReverse:
@@ -125,19 +137,21 @@ class TestReverse:
 
 
 class TestDeleteVertex:
+    # G - u keeps every vertex id; u stays behind isolated
     def test_triangle(self, triangle):
         g = triangle.delete_vertex(0)
-        assert g.n == 2 and sorted(g.edge_ids) == [1]
+        assert g.n == 3 and sorted(g.edge_ids) == [1]
+        assert g.endpoints(1) == (1, 2)
 
     def test_k4(self, k4):
         g = k4.delete_vertex(0)
-        assert g.n == 3 and g.m == 3
-        assert len(components(g)) == 1
+        assert g.n == 4 and g.m == 3
+        assert len(components(g)) == 2
 
     def test_star(self):
         star = Multigraph.build(4, [(0, 1), (0, 2), (0, 3)])
         g = star.delete_vertex(0)
-        assert g.n == 3 and g.m == 0
+        assert g.n == 4 and g.m == 0
 
     def test_unknown_vertex(self, triangle):
         with pytest.raises(InputError):
