@@ -2,7 +2,9 @@
 
 Constructs a nowhere-zero Z2 x Z3 flow whose f2 component vanishes at a
 chosen root, and converts it into a nowhere-zero integer 6-flow, with
-verifiers, brute-force oracles, and graph generators.
+verifiers, brute-force oracles, and graph generators. Every name below is
+used by the package itself or by its benchmark, except the few that
+``tests/test_public_surface.py`` lists with the reason each is kept.
 """
 
 from .connectivity import (
@@ -27,10 +29,7 @@ from .errors import (
 from .flows import (
     GroupFlow,
     IntegerFlow,
-    excess_int,
-    excess_pair,
     negate_f3,
-    support,
     verify_flow,
     verify_k_flow,
     verify_nowhere_zero,
@@ -38,7 +37,6 @@ from .flows import (
 )
 from .multigraph import Edge, Multigraph
 from .testkit import (
-    check_rooted_flows_exhaustive,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
     random_2ec_multigraph,
@@ -46,7 +44,6 @@ from .testkit import (
 from .tutte import (
     group_flow_to_integer_flow,
     group_flow_to_z6,
-    integer_flow_to_group,
     pair_to_z6,
     z6_to_pair,
 )
@@ -63,23 +60,18 @@ __all__ = [
     "SixflowError",
     "StructuralError",
     "bridges",
-    "check_rooted_flows_exhaustive",
     "components",
     "enumerate_nz_flows",
     "enumerate_small_2ec_multigraphs",
-    "excess_int",
-    "excess_pair",
     "extend_flow_over_contraction",
     "extend_nonzero_parallel",
     "group_flow_to_integer_flow",
     "group_flow_to_z6",
-    "integer_flow_to_group",
     "is_2_edge_connected",
     "negate_f3",
     "pair_to_z6",
     "random_2ec_multigraph",
     "solve",
-    "support",
     "two_edge_disjoint_paths",
     "verify_flow",
     "verify_k_flow",

@@ -30,7 +30,6 @@ only by memory, never by the interpreter call stack.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
@@ -66,8 +65,6 @@ class CutStep:
 class BridgelessStep:
     depth: int
     root_edges: tuple[int, int]
-    path_edges: frozenset[int]
-    spoke_edges: frozenset[int]
     contracted_sizes: tuple[int, int]
 
 
@@ -255,8 +252,8 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
         _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
                "bridgeless-case contraction broke 2-edge-connectivity")
     trace.steps.append(BridgelessStep(
-        depth=depth, root_edges=(e_first, e_second), path_edges=path_edges,
-        spoke_edges=spokes, contracted_sizes=(len(path_edges), len(spokes)),
+        depth=depth, root_edges=(e_first, e_second),
+        contracted_sizes=(len(path_edges), len(spokes)),
     ))
 
     # Edges of G at H other than the spokes: those leaving H (signed +1 into
@@ -335,67 +332,47 @@ def extend_flow_over_contraction(
 ) -> dict[int, int]:
     """Extend a mod-3 flow on G/S to all of G.
 
-    ``known`` must cover every edge of g outside S and form a flow on G/S.
-    The S-edges are fixed through a spanning forest of (V, S): non-tree
-    edges get 0, tree edges are forced leaf-upward by conservation.
-    Assigned values may legitimately be zero. Only the excess at S's
-    endpoints is read, so g may hold just the edges at those vertices;
-    ``known`` then needs to conserve only at the vertices of G/S that S's
-    components contract to.
+    ``known`` must cover every edge of g outside S, and no edge of S, and
+    form a flow on G/S. The S-edges are fixed through a spanning forest of
+    (V, S): every S-edge starts at 0, which loops and non-tree edges keep,
+    and tree edges are forced leaf-upward by conservation. Assigned values
+    may legitimately be zero. Only the excess at S's endpoints is read, so
+    g may hold just the edges at those vertices; ``known`` then needs to
+    conserve only at the vertices of G/S that S's components contract to.
     """
     contracted = frozenset(contracted)
     total = dict(known)
 
     exc = [0] * g.n
     for eid, (t, h) in g.arcs():
-        if eid in contracted and eid not in total:
-            continue
-        if t == h:
+        if t == h or eid in contracted:
             continue
         val = total[eid]
         exc[h] += val
         exc[t] -= val
 
-    # Spanning forest of (V, S) by BFS from the smallest vertex of each part.
     adj: dict[int, list[tuple[int, int]]] = {}
-    todo: list[int] = []
     for eid in sorted(contracted):
-        if eid in total:
-            continue
+        total[eid] = 0
         t, h = g.endpoints(eid)
-        if t == h:
-            total[eid] = 0  # contracted loop carries no conservation demand
-            continue
-        adj.setdefault(t, []).append((eid, h))
-        adj.setdefault(h, []).append((eid, t))
-        todo.append(eid)
+        if t != h:
+            adj.setdefault(t, []).append((eid, h))
+            adj.setdefault(h, []).append((eid, t))
+    # BFS from the smallest vertex of each part of (V, S), reading ``order``
+    # as it grows; then force that part's tree edges leaf-upward, each entry
+    # being (vertex, edge to its parent).
     seen: set[int] = set()
-    tree_edges: set[int] = set()
-    parts: list[tuple[int, list[int], dict[int, int]]] = []
     for start in sorted(adj):
         if start in seen:
             continue
         seen.add(start)
-        order = [start]
-        parent_edge: dict[int, int] = {}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        order = [(start, -1)]
+        for v, _ in order:
             for eid, w in adj[v]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                parent_edge[w] = eid
-                tree_edges.add(eid)
-                order.append(w)
-                queue.append(w)
-        parts.append((start, order, parent_edge))
-    for eid in todo:
-        if eid not in tree_edges:
-            total[eid] = 0  # chord: contributes nothing to any excess
-    for start, order, parent_edge in parts:
-        for v in reversed(order[1:]):
-            eid = parent_edge[v]
+                if w not in seen:
+                    seen.add(w)
+                    order.append((w, eid))
+        for v, eid in reversed(order[1:]):
             t, h = g.endpoints(eid)
             sign = 1 if h == v else -1
             val = (-sign * exc[v]) % 3

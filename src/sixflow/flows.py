@@ -3,7 +3,10 @@
 A group flow maps edge id -> (f2, f3) with f2 mod 2 and f3 mod 3, relative
 to the owning graph's orientation. An integer flow maps edge id -> int.
 Verifiers re-derive incidence from the graph, so there is no stale state to
-keep in sync.
+keep in sync. Each ``*_violation`` function returns a witness, the first
+vertex where conservation fails or the smallest offending edge id, and each
+``verify_*`` is its yes/no form. ``pair_add`` and ``pair_neg`` are the group
+operations of Z2 x Z3 that the brute-force oracle in ``testkit`` uses.
 """
 
 from __future__ import annotations
@@ -36,36 +39,6 @@ def _require_total(g: Multigraph, f: dict) -> None:
             raise InputError(f"flow is missing a value for edge {eid}")
 
 
-def excess_pair(g: Multigraph, f: GroupFlow, v: int) -> Pair:
-    """Inflow minus outflow at v in Z2 x Z3; loops contribute nothing."""
-    g._check_vertex(v)
-    _require_total(g, f)
-    e2 = e3 = 0
-    for eid, (t, h) in g.arcs():
-        if h == v and t != v:
-            a, b = f[eid]
-            e2 += a
-            e3 += b
-        elif t == v and h != v:
-            a, b = f[eid]
-            e2 -= a
-            e3 -= b
-    return (e2 & 1, e3 % 3)
-
-
-def excess_int(g: Multigraph, f: IntegerFlow, v: int) -> int:
-    """Integer inflow minus outflow at v; loops contribute nothing."""
-    g._check_vertex(v)
-    _require_total(g, f)
-    total = 0
-    for eid, (t, h) in g.arcs():
-        if h == v and t != v:
-            total += f[eid]
-        elif t == v and h != v:
-            total -= f[eid]
-    return total
-
-
 def _pair_excesses(g: Multigraph, f: GroupFlow) -> tuple[list[int], list[int]]:
     e2 = [0] * g.n
     e3 = [0] * g.n
@@ -95,10 +68,8 @@ def verify_flow(g: Multigraph, f: GroupFlow) -> bool:
 
 
 def zero_edge(f: GroupFlow) -> Optional[int]:
-    for eid in sorted(f):
-        if f[eid] == ZERO:
-            return eid
-    return None
+    """The smallest edge id carrying the zero value, or None."""
+    return min((eid for eid, p in f.items() if p == ZERO), default=None)
 
 
 def verify_nowhere_zero(g: Multigraph, f: GroupFlow) -> bool:
@@ -112,7 +83,7 @@ def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[tuple[str,
     v = flow_violation(g, f)
     if v is not None:
         return ("vertex", v)
-    z = zero_edge({eid: f[eid] for eid in g.edge_ids})
+    z = min((eid for eid in g.edge_ids if f[eid] == ZERO), default=None)
     if z is not None:
         return ("edge", z)
     for eid, (t, h) in g.arcs():
@@ -147,17 +118,6 @@ def k_flow_violation(
 
 def verify_k_flow(g: Multigraph, f: IntegerFlow, k: int) -> bool:
     return k_flow_violation(g, f, k) is None
-
-
-def support(f: GroupFlow, component: str = "pair") -> frozenset[int]:
-    """Edges with a nonzero chosen component: "f2", "f3", or "pair"."""
-    if component == "f2":
-        return frozenset(e for e, (a, _) in f.items() if a)
-    if component == "f3":
-        return frozenset(e for e, (_, b) in f.items() if b)
-    if component == "pair":
-        return frozenset(e for e, p in f.items() if p != ZERO)
-    raise InputError(f"unknown support component {component!r}")
 
 
 def negate_f3(f: GroupFlow) -> GroupFlow:

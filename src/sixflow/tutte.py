@@ -36,11 +36,6 @@ def group_flow_to_z6(f: GroupFlow) -> Z6Flow:
     return {e: pair_to_z6(p) for e, p in f.items()}
 
 
-def integer_flow_to_group(g: Multigraph, f: IntegerFlow) -> Z6Flow:
-    """Reduce an integer flow mod 6; the trivial direction of the reduction."""
-    return {e: f[e] % 6 for e in g.edge_ids}
-
-
 def group_flow_to_integer_flow(
     g: Multigraph, phi: Z6Flow, stats: Optional[dict] = None
 ) -> IntegerFlow:

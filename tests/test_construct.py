@@ -13,7 +13,6 @@ from sixflow import (
     extend_flow_over_contraction,
     extend_nonzero_parallel,
     solve,
-    support,
     verify_flow,
     verify_nowhere_zero,
     verify_rooted,
@@ -33,7 +32,7 @@ class TestSolveSmall:
     def test_triangle(self, triangle):
         f, _ = solve(triangle, 0)
         assert verify_rooted(triangle, 0, f)
-        assert support(f, "f2") == frozenset()
+        assert all(a == 0 for a, _ in f.values())
         assert f in enumerate_nz_flows(triangle)
 
     def test_k4(self, k4):
@@ -41,7 +40,7 @@ class TestSolveSmall:
         assert verify_rooted(k4, 0, f)
         # G-0 is a bridgeless triangle: the f2 support is the path union,
         # and the three root edges carry f2 = 0
-        assert support(f, "f2").isdisjoint({0, 1, 2})
+        assert all(f[e][0] == 0 for e in (0, 1, 2))
         assert f in enumerate_nz_flows(k4)
 
     def test_bridge_is_rejected(self):
@@ -61,7 +60,7 @@ class TestSolveSmall:
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
         f, trace = solve(g, 0, debug=True)
         assert verify_rooted(g, 0, f)
-        assert support(f, "f2") == frozenset()
+        assert all(a == 0 for a, _ in f.values())
         assert f in enumerate_nz_flows(g)
 
     def test_empty_path_case(self):
@@ -71,8 +70,7 @@ class TestSolveSmall:
         assert verify_rooted(g, 0, f)
         step = trace.steps[0]
         assert isinstance(step, BridgelessStep)
-        assert step.path_edges == frozenset()
-        assert step.spoke_edges == {0, 1}
+        assert step.contracted_sizes == (0, 2)
         assert all(f[e][0] == 0 and f[e][1] != 0 for e in (0, 1))
 
     def test_petersen_all_roots(self, petersen):
@@ -120,7 +118,8 @@ class TestBridgelessChecksFire:
     """Each always-on check of the bridgeless step, reached on a bad input.
 
     The first two graphs are not 2-edge-connected, so ``solve`` would
-    reject them; the step is driven directly, up to its first child.
+    reject them; the step is driven directly, up to its first child, or
+    past it with a bad child flow (``after_children``).
     """
 
     @staticmethod
@@ -152,6 +151,46 @@ class TestBridgelessChecksFire:
         monkeypatch.setattr(construct, "two_edge_disjoint_paths",
                             lambda gu, x, y: ([], []))
         assert self.first_step(k4) == "path union did not contract to a single vertex"
+
+    # x = x2 = 1, so H = {1}, the spokes are edges 0 and 1, and the child
+    # keeps edges 2-5; edge 4 is a root edge outside the spokes
+    PARALLEL = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
+    F2_MESSAGE = "f2 support touches the root or the contracted path vertex"
+
+    def test_child_f2_on_a_root_edge(self):
+        g = Multigraph.build(3, self.PARALLEL)
+        child = {2: (0, 1), 3: (0, 1), 4: (1, 1), 5: (0, 1)}
+        assert after_children(g, child) == self.F2_MESSAGE
+
+    def test_child_f2_on_a_root_loop(self):
+        g = Multigraph.build(3, self.PARALLEL + [(0, 0)])
+        child = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1), 6: (1, 1)}
+        assert after_children(g, child) == self.F2_MESSAGE
+
+
+class TestCutChecksFire:
+    """The cut step's gluing checks, fed bad child flows on the triangle.
+
+    G - 0 is the single edge 1 = (1, 2), a bridge, so both children keep it.
+    """
+
+    def test_child_f2_on_the_bridge(self, triangle):
+        assert after_children(triangle, {1: (1, 1)}, {1: (0, 1)}) == (
+            "cut edge carries nonzero f2 from a subflow")
+
+    def test_zero_f3_on_the_bridge(self, triangle):
+        assert after_children(triangle, {1: (0, 0)}, {1: (0, 0)}) == (
+            "cut edge f3 values failed to align")
+
+
+def after_children(g, *child_flows, u=0):
+    """Send the step its children's flows in turn; return the check it fails."""
+    task = _solve_task(g, u, 0, ConstructionTrace(), False)
+    next(task)
+    with pytest.raises(InternalCheckError) as exc:
+        for flow in child_flows:
+            task.send(flow)
+    return str(exc.value)
 
 
 def test_perfbench_patch_targets_exist():

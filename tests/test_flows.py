@@ -4,40 +4,49 @@ from hypothesis import given, strategies as st
 from sixflow import (
     InputError,
     Multigraph,
-    excess_int,
-    excess_pair,
     negate_f3,
-    support,
     verify_flow,
     verify_k_flow,
     verify_nowhere_zero,
     verify_rooted,
 )
-from sixflow.flows import NONZERO_PAIRS, pair_neg
+from sixflow.flows import (
+    NONZERO_PAIRS,
+    _pair_excesses,
+    flow_violation,
+    pair_neg,
+    rooted_violation,
+    zero_edge,
+)
 from sixflow.testkit import random_2ec_multigraph
 
 
 class TestExcess:
+    """The per-vertex excesses that every group verifier reads."""
+
     def test_loop_contributes_nothing(self):
         g = Multigraph.build(1, [(0, 0)])
-        assert excess_pair(g, {0: (1, 2)}, 0) == (0, 0)
+        assert _pair_excesses(g, {0: (1, 2)}) == ([0], [0])
+        assert verify_flow(g, {0: (1, 2)})
 
     def test_digon(self):
         g = Multigraph.build(2, [(0, 1), (1, 0)])
         f = {0: (0, 1), 1: (0, 1)}
-        assert excess_pair(g, f, 0) == (0, 0)
-        assert excess_pair(g, f, 1) == (0, 0)
+        assert _pair_excesses(g, f) == ([0, 0], [0, 0])
+        assert flow_violation(g, f) is None
 
     def test_single_edge(self):
         g = Multigraph.build(2, [(0, 1)])
         f = {0: (0, 1)}
-        assert excess_pair(g, f, 1) == (0, 1)
-        assert excess_pair(g, f, 0) == (0, 2)  # -1 mod 3
+        assert _pair_excesses(g, f) == ([0, 0], [-1, 1])
+        assert flow_violation(g, f) == 0
 
     def test_missing_value(self):
-        g = Multigraph.build(2, [(0, 1)])
-        with pytest.raises(InputError):
-            excess_pair(g, {}, 0)
+        g = Multigraph.build(2, [(0, 1), (1, 0)])
+        with pytest.raises(InputError, match="missing a value for edge 1"):
+            verify_flow(g, {0: (0, 1)})
+        with pytest.raises(InputError, match="missing a value for edge 1"):
+            verify_k_flow(g, {0: 1}, 6)
 
     @given(st.integers(1, 15), st.integers(0, 10), st.integers(0, 200),
            st.integers(0, 10 ** 9))
@@ -48,11 +57,8 @@ class TestExcess:
         g = random_2ec_multigraph(n, ears, seed)
         rng = random.Random(vseed)
         f = {e: (rng.randrange(2), rng.randrange(3)) for e in g.edge_ids}
-        total = (0, 0)
-        for v in g.vertices():
-            e2, e3 = excess_pair(g, f, v)
-            total = ((total[0] + e2) % 2, (total[1] + e3) % 3)
-        assert total == (0, 0)
+        e2, e3 = _pair_excesses(g, f)
+        assert sum(e2) == 0 and sum(e3) == 0
 
 
 class TestVerifiers:
@@ -88,28 +94,21 @@ class TestVerifiers:
 
     def test_k_flow_digon(self, digon):
         assert verify_k_flow(digon, {0: 4, 1: 4}, 6)
-        assert excess_int(digon, {0: 4, 1: 4}, 0) == 0
+        assert not verify_k_flow(digon, {0: 4, 1: -4}, 6)
+
+    def test_zero_witness_is_the_smallest_id(self):
+        # four parallel edges; 3 and 2 carry zero, listed larger id first
+        g = Multigraph.build(2, [(0, 1)] * 4)
+        f = {3: (0, 0), 2: (0, 0), 1: (0, 2), 0: (0, 1)}
+        assert verify_flow(g, f)
+        assert zero_edge(f) == 2
+        assert rooted_violation(g, 0, f) == ("edge", 2)
 
     def test_k_flow_range(self):
         g = Multigraph.build(1, [(0, 0)])
         assert not verify_k_flow(g, {0: 6}, 6)
         assert not verify_k_flow(g, {0: 0}, 6)
         assert verify_k_flow(g, {0: -5}, 6)
-
-
-class TestSupport:
-    def test_all_zero(self):
-        assert support({0: (0, 0), 1: (0, 0)}) == frozenset()
-
-    def test_digon_f3_only(self):
-        f = {0: (0, 1), 1: (0, 1)}
-        assert support(f, "f2") == frozenset()
-        assert support(f, "f3") == {0, 1}
-        assert support(f, "pair") == {0, 1}
-
-    def test_unknown_component(self):
-        with pytest.raises(InputError):
-            support({}, "f7")
 
 
 class TestNegate:
@@ -130,8 +129,7 @@ class TestNegate:
         assert verify_flow(k4, nf)
         assert verify_nowhere_zero(k4, nf)
         assert verify_rooted(k4, 0, nf)
-        assert support(nf, "f2") == support(f, "f2")
-        assert support(nf, "f3") == support(f, "f3")
+        assert all(nf[e][0] == f[e][0] and (nf[e][1] == 0) == (f[e][1] == 0) for e in f)
 
 
 @given(st.integers(1, 12), st.integers(0, 8), st.integers(0, 100),
