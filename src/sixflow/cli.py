@@ -78,12 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="timing table over random instances")
-    p.add_argument("--sizes", default="100,1000",
+    p.add_argument("--sizes", type=_int_list, default="100,1000",
                    help="comma-separated vertex counts")
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p.add_argument("--seeds", type=_int_list, default="0", help="comma-separated seeds")
     p.add_argument("--reps", type=int, default=1, help="repetitions per instance")
     p.set_defaults(func=_cmd_bench)
     return parser
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid comma-separated int value: {text!r}") from None
 
 
 def _read(path: str) -> str:
@@ -160,11 +169,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
     print("size seed n m wall_ms depth aug_rounds scanned")
-    for size in sizes:
-        for seed in seeds:
+    for size in args.sizes:
+        for seed in args.seeds:
             g = random_2ec_multigraph(size, size, seed)
             best = None
             for _ in range(max(1, args.reps)):

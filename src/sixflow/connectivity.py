@@ -1,5 +1,6 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
-the partition at a bridge, and two edge-disjoint paths.
+the partition at a bridge, and the even, connected edge set through two
+vertices.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
@@ -177,22 +178,22 @@ def partition_at_bridge(
     return (eid, v1, v2), comp
 
 
-def two_edge_disjoint_paths(
-    g: Multigraph, x: int, y: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Two edge-disjoint simple paths from x to y, orientation ignored.
+def two_edge_disjoint_paths(g: Multigraph, x: int, y: int) -> frozenset[int]:
+    """The edges of two edge-disjoint x-y paths, as one set of edge ids.
 
-    Each path is a list of (edge id, direction) steps, direction +1 when the
-    edge is traversed tail-to-head. If x == y both paths are empty. Raises
+    Orientation is ignored. The set is connected, holds x and y, and gives
+    every vertex even degree; it is empty when x == y. Raises
     StructuralError when no two edge-disjoint paths exist.
 
     Unit-capacity augmenting-path search: each edge is usable once in either
-    direction, a used edge may be cancelled by the second search.
+    direction, a used edge may be cancelled by the second search. The
+    support of the resulting 2-unit flow can also carry a cycle that x does
+    not reach, so only x's component of the support is returned.
     """
     g._check_vertex(x)
     g._check_vertex(y)
     if x == y:
-        return [], []
+        return frozenset()
     adj = g.undirected_adj()
     used: dict[int, int] = {}  # eid -> +1 traversed tail->head, -1 reverse
 
@@ -230,47 +231,16 @@ def two_edge_disjoint_paths(
                 f"no two edge-disjoint paths between {x} and {y}"
             )
 
-    return _split_unit_flow(g, x, y, used)
-
-
-def _split_unit_flow(
-    g: Multigraph, x: int, y: int, used: dict[int, int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Decompose a 2-unit x-y flow into two edge-disjoint simple paths.
-
-    ``used`` maps each edge carrying flow to its direction (+1 tail to head,
-    -1 head to tail). Each walk leaves a vertex by its smallest unused
-    outgoing edge; when it returns to a vertex already on the walk, the
-    cycle in between is cut out, and its edges stay used.
-    """
-    outgoing: dict[int, list[tuple[int, int, int]]] = {}
-    for eid, d in sorted(used.items()):
+    at: dict[int, list[int]] = {}  # vertex -> its neighbours along used edges
+    for eid in used:
         t, h = g.endpoints(eid)
-        a, b = (t, h) if d == +1 else (h, t)
-        outgoing.setdefault(a, []).append((eid, b, d))
-
-    # One cursor per vertex, shared by both walks: an edge is used once.
-    cursor = {v: iter(out) for v, out in outgoing.items()}
-
-    def extract() -> list[tuple[int, int]]:
-        verts = [x]
-        pos = {x: 0}  # vertex -> index in verts
-        steps: list[tuple[int, int]] = []
-        v = x
-        while v != y:
-            eid, w, d = next(cursor[v])
-            i = pos.get(w)
-            if i is not None:
-                # drop the cycle portion; those edges stay consumed
-                for z in verts[i + 1:]:
-                    del pos[z]
-                del verts[i + 1:]
-                del steps[i:]
-            else:
-                pos[w] = len(verts)
-                verts.append(w)
-                steps.append((eid, d))
-            v = w
-        return steps
-
-    return extract(), extract()
+        at.setdefault(t, []).append(h)
+        at.setdefault(h, []).append(t)
+    reached = {x}
+    stack = [x]
+    while stack:
+        for w in at[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return frozenset(eid for eid in used if g.endpoints(eid)[0] in reached)

@@ -10,13 +10,13 @@ then extends the flow back over the contracted edges. Two cases:
   contracted away in turn, and the two sub-flows are glued along e
   (negating one f3 component if they disagree).
 * bridgeless case - pick two root edges into the same component of G - root,
-  join their far endpoints by two edge-disjoint paths, contract the path
-  union H together with the root-to-H edges in one contraction, solve, and
+  take as H the union of two edge-disjoint paths between their far
+  endpoints (one connected edge set that is even at every vertex), contract
+  H together with the root-to-H edges in one contraction, solve, and
   extend back in stages: nonzero f3 on the parallel root edges, f3 by
-  conservation on the path union, then f2 = 1 on the whole path union
-  (every path-union vertex has even degree, so mod-2 conservation
-  survives). The extension and its checks read only the edges at the root
-  and at H.
+  conservation on H, then f2 = 1 on the whole of H (every vertex has even
+  degree in H, so mod-2 conservation survives). The extension and its
+  checks read only the edges at the root and at H.
 
 Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
 (the root stays as an isolated vertex, so nothing is renumbered), and one
@@ -185,10 +185,11 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     in one contraction, solve the smaller instance, then extend back.
 
     ``gu`` is G - u in G's vertex ids and ``comp`` labels its components,
-    both from the step's one DFS. Besides the paths in G - u, one scan of
-    G's edges finds the root edges and the loops, and one contraction
-    builds the child instance. Every other pass reads only the edges at u
-    and at H's vertices, since the extension changes no value elsewhere.
+    both from the step's one DFS. ``two_edge_disjoint_paths`` returns H as
+    one edge set of G - u. Besides that search, one scan of G's edges finds
+    the root edges and the loops, and one contraction builds the child
+    instance. Every other pass reads only the edges at u and at H's
+    vertices, since the extension changes no value elsewhere.
     The intermediate graph G/H is built only in debug mode, to re-verify it.
     """
     root_edges = []  # (edge id, far endpoint) for non-loop edges at u, ascending id
@@ -217,8 +218,7 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     )
     _check(e_second >= 0, "no second root edge into the chosen component")
 
-    p1, p2 = two_edge_disjoint_paths(gu, x, x2)  # both empty when x == x2
-    path_edges = frozenset(eid for eid, _ in p1 + p2)
+    path_edges = two_edge_disjoint_paths(gu, x, x2)
     h_vertices = {x, x2}
     deg = {}
     for eid in path_edges:

@@ -130,6 +130,8 @@ def random_2ec_multigraph(n: int, extra_ears: int, seed: int) -> Multigraph:
     """
     if n < 1:
         raise InputError("vertex count must be positive")
+    if extra_ears < 0:
+        raise InputError("extra ear count must be non-negative")
     rng = random.Random(seed)
     arcs: list[tuple[int, int]] = []
     if n == 1:

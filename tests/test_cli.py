@@ -180,6 +180,10 @@ class TestGenOracleBench:
         assert main(["gen", "9", "--extra-ears", "4", "--seed", "11"]) == 0
         assert capsys.readouterr().out == a
 
+    def test_gen_negative_extra_ears_exits_1(self, capsys):
+        assert main(["gen", "5", "--extra-ears", "-3"]) == 1
+        assert capsys.readouterr().err == "error: extra ear count must be non-negative\n"
+
     def test_oracle_digon(self, tmp_path, capsys):
         gfile = tmp_path / "g.nzf"
         gfile.write_text("p nzf 2 2\ne 0 1\ne 1 0\n")
@@ -209,6 +213,16 @@ class TestGenOracleBench:
 
         assert strip_timing(a) == strip_timing(b)
         assert len(strip_timing(a)) == 4
+
+    @pytest.mark.parametrize("option, value", [("--sizes", "x"), ("--seeds", "1,y")])
+    def test_bench_bad_list_is_a_usage_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sixflow bench")
+        assert f"error: argument {option}: invalid comma-separated int value: '{value}'" in err
+        assert "Traceback" not in err
 
 
 def test_solve_byte_identical_runs(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +9,11 @@ from sixflow import (
     bridges,
     components,
     is_2_edge_connected,
+    solve,
     two_edge_disjoint_paths,
+    verify_rooted,
 )
-from sixflow.connectivity import _split_unit_flow, partition_at_bridge
+from sixflow.connectivity import partition_at_bridge
 from sixflow.testkit import random_2ec_multigraph
 
 from conftest import brute_force_bridges, small_graphs
@@ -164,64 +168,73 @@ class TestPartitionProperties:
             _check_partition(g, u)
 
 
+def _check_even_connected(g, h, x, y):
+    """H gives every vertex even degree, touches x and y, and forms a
+    single non-trivial component."""
+    deg = {}
+    for eid in h:
+        for v in g.endpoints(eid):
+            deg[v] = deg.get(v, 0) + 1
+    assert all(d % 2 == 0 for d in deg.values())
+    assert x in deg and y in deg
+    sub = Multigraph(g.n, {eid: g.endpoints(eid) for eid in h})
+    assert [c for c in components(sub) if len(c) > 1] == [frozenset(deg)]
+
+
 class TestTwoEdgeDisjointPaths:
     def test_same_endpoints(self, triangle):
-        assert two_edge_disjoint_paths(triangle, 1, 1) == ([], [])
+        assert two_edge_disjoint_paths(triangle, 1, 1) == frozenset()
 
     def test_three_parallel(self):
         g = Multigraph.build(2, [(0, 1), (0, 1), (0, 1)])
-        p1, p2 = two_edge_disjoint_paths(g, 0, 1)
-        assert [e for e, _ in p1] == [0]
-        assert [e for e, _ in p2] == [1]
+        assert two_edge_disjoint_paths(g, 0, 1) == {0, 1}
 
     def test_cycle(self, triangle):
         # a=0, b=1, c=2; x=a, x'=b
-        p1, p2 = two_edge_disjoint_paths(triangle, 0, 1)
-        assert [e for e, _ in p1] == [0]
-        assert [e for e, _ in p2] == [2, 1]
+        assert two_edge_disjoint_paths(triangle, 0, 1) == {0, 1, 2}
 
-    def test_split_cuts_out_a_revisited_cycle(self):
-        # The first walk goes 0 -> 1 -> 2 -> 3 and back to 1; the cycle
-        # 1 -> 2 -> 3 -> 1 is cut out and the walk leaves 1 by edge 4.
-        # Edges 2 and 5 carry flow against their orientation.
-        g = Multigraph.build(5, [(0, 1), (1, 2), (3, 2), (3, 1), (1, 4), (4, 0)])
-        used = {0: +1, 1: +1, 2: -1, 3: +1, 4: +1, 5: -1}
-        p1, p2 = _split_unit_flow(g, 0, 4, used)
-        assert p1 == [(0, +1), (4, +1)]
-        assert p2 == [(5, -1)]
-        assert self._walk(g, p1, 0) == [0, 1, 4]
-        assert self._walk(g, p2, 0) == [0, 4]
+    # The two augmentations from 0 to 6 leave a 2-unit flow whose support
+    # also holds the cycle 2-3-4-7 (edges 2-5), which 0 does not reach in
+    # the support; contracting it with the paths would leave two vertices.
+    DETACHED = [(0, 1), (1, 2), (2, 3), (4, 7), (3, 4), (7, 2), (4, 5),
+                (5, 6), (0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 5),
+                (1, 13), (13, 14), (14, 15), (15, 16), (16, 17), (17, 6)]
+
+    def test_detached_cycle_left_out(self):
+        g = Multigraph.build(18, self.DETACHED)
+        h = two_edge_disjoint_paths(g, 0, 6)
+        assert h == {0, *range(7, 20)}
+        _check_even_connected(g, h, 0, 6)
+
+    def test_detached_cycle_solves(self):
+        g = Multigraph.build(19, self.DETACHED + [(18, 0), (18, 6)])
+        flow, _ = solve(g, 18)
+        assert verify_rooted(g, 18, flow)
 
     def test_no_two_paths(self):
         g = Multigraph.build(2, [(0, 1)])
         with pytest.raises(StructuralError):
             two_edge_disjoint_paths(g, 0, 1)
 
+    def test_small_graphs_against_bridge_oracle(self):
+        # x and y have two edge-disjoint paths exactly when they share a
+        # component of G minus its bridges (a bridge on an x-y path lies on
+        # every x-y path)
+        checked = 0
+        for g in small_graphs(4, 6):
+            cut = brute_force_bridges(g)
+            pruned = Multigraph(g.n, {k: v for k, v in g.arcs() if k not in cut})
+            label = {v: i for i, c in enumerate(components(pruned)) for v in c}
+            for x, y in permutations(range(g.n), 2):
+                if label[x] != label[y]:
+                    with pytest.raises(StructuralError):
+                        two_edge_disjoint_paths(g, x, y)
+                else:
+                    _check_even_connected(g, two_edge_disjoint_paths(g, x, y), x, y)
+                    checked += 1
+        assert checked > 10000
+
     @given(st.integers(2, 25), st.integers(0, 15), st.integers(0, 500))
     def test_properties(self, n, ears, seed):
         g = random_2ec_multigraph(n, ears, seed)
-        p1, p2 = two_edge_disjoint_paths(g, 0, n - 1)
-        e1 = [e for e, _ in p1]
-        e2 = [e for e, _ in p2]
-        assert not set(e1) & set(e2)
-        for steps in (p1, p2):
-            verts = self._walk(g, steps, 0)
-            assert verts[-1] == n - 1
-            assert len(set(verts)) == len(verts)  # simple path
-        # union is an even-degree subgraph
-        deg = {}
-        for eid in e1 + e2:
-            t, h = g.endpoints(eid)
-            deg[t] = deg.get(t, 0) + 1
-            deg[h] = deg.get(h, 0) + 1
-        assert all(d % 2 == 0 for d in deg.values())
-
-    @staticmethod
-    def _walk(g, steps, start):
-        verts = [start]
-        for eid, d in steps:
-            t, h = g.endpoints(eid)
-            a, b = (t, h) if d == +1 else (h, t)
-            assert a == verts[-1]
-            verts.append(b)
-        return verts
+        _check_even_connected(g, two_edge_disjoint_paths(g, 0, n - 1), 0, n - 1)

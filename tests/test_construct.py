@@ -143,13 +143,13 @@ class TestBridgelessChecksFire:
         # G - 0 is the triangle 1, 2, 3; x = 1, x2 = 2. Edges 3 = (1, 2) and
         # 4 = (1, 3) leave 2 and 3 with odd degree.
         monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda gu, x, y: ([(3, 1)], [(4, 1)]))
+                            lambda gu, x, y: frozenset({3, 4}))
         assert self.first_step(k4) == "path union has a vertex of odd degree"
 
     def test_disconnected_path_union(self, k4, monkeypatch):
         # an empty (so even) path union with x != x2 leaves H in two pieces
         monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda gu, x, y: ([], []))
+                            lambda gu, x, y: frozenset())
         assert self.first_step(k4) == "path union did not contract to a single vertex"
 
     # x = x2 = 1, so H = {1}, the spokes are edges 0 and 1, and the child

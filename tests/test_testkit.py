@@ -133,6 +133,10 @@ class TestRandomGenerator:
         g = random_2ec_multigraph(1, 0, 7)
         assert g.n == 1 and g.m == 0
 
+    def test_negative_extra_ears(self):
+        with pytest.raises(InputError, match="extra ear count must be non-negative"):
+            random_2ec_multigraph(5, -3, 0)
+
     def test_target_vertex_count(self):
         for n in (1, 2, 3, 7, 40):
             assert random_2ec_multigraph(n, 5, 1).n == n
