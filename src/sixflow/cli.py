@@ -169,12 +169,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise InputError("repetition count must be positive")
     print("size seed n m wall_ms depth aug_rounds scanned")
     for size in args.sizes:
         for seed in args.seeds:
             g = random_2ec_multigraph(size, size, seed)
             best = None
-            for _ in range(max(1, args.reps)):
+            for _ in range(args.reps):
                 stats: dict = {}
                 t0 = time.perf_counter()
                 flow, trace = solve(g, 0)

@@ -14,17 +14,31 @@ Flow files carry one solution per file::
 The machine-readable variant is a single JSON document with the same fields.
 Internal consistency (z6 = pairing of f2/f3, int6 congruent to z6 mod 6,
 value ranges) is enforced on read, independent of any graph.
+
+Each file is read with whole-list operations, not a Python loop per line.
+The body is split into tokens once, and the token count of each line is
+taken alongside (comment lines, whose first token starts with ``c``, are
+dropped first). Every line of a valid file holds a fixed number of tokens
+(4, then 3 per edge, in a graph; 3 for the header and 8 per edge in a
+flow), so the record kinds and the value columns are strided slices of the
+one token list. Each column is converted with ``map(int, ...)`` and checked
+as a whole: line lengths and kinds, counts, endpoint ranges, and the set of
+value tuples. Every file these checks accept is parsed by this pass alone.
+A file they reject is walked again line by line (or edge by edge) only to
+name its first fault, and that walk raises on every path. Writing is one
+format per record, joined once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, IntegerFlow
 from .multigraph import Multigraph
 from .tutte import pair_to_z6
@@ -40,6 +54,24 @@ class FlowEntry(NamedTuple):
     int6: int
 
 
+# FlowEntry._make without its Python-level call and length check; every
+# caller passes exactly seven values.
+_new_entry = partial(tuple.__new__, FlowEntry)
+_edge_id = itemgetter(0)
+_ends = itemgetter(1, 2)
+_values = itemgetter(3, 4, 5, 6)
+
+# Every (f2, f3, z6, int6) a valid entry can hold: f2 in Z2, f3 in Z3,
+# z6 their pairing, 0 < |int6| <= 5 and int6 congruent to z6 mod 6.
+_VALID_VALUES = frozenset(
+    (a, b, pair_to_z6((a, b)), v)
+    for a in range(2)
+    for b in range(3)
+    for v in range(-5, 6)
+    if v and v % 6 == pair_to_z6((a, b))
+)
+
+
 @dataclass(frozen=True)
 class FlowDocument:
     root: int
@@ -52,9 +84,37 @@ class FlowDocument:
         return {e.edge_id: e.int6 for e in self.entries}
 
 
+def _tokens(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of the lines that are neither blank nor comments, in file
+    order, and how many tokens each of those lines holds."""
+    lines = text.splitlines()
+    if "c" in text:  # without a "c" no line can be a comment
+        lines = [line for line in lines if not line.lstrip().startswith("c")]
+        text = "\n".join(lines)
+    return text.split(), list(filter(None, map(len, map(str.split, lines))))
+
+
 def parse_graph(text: str) -> Multigraph:
-    n = m = None
-    arcs: list[tuple[int, int]] = []
+    tokens, counts = _tokens(text)
+    try:
+        p, nzf, n, m = tokens[:4]
+        n, m = int(n), int(m)
+        body = tokens[4:]
+        tails, heads = list(map(int, body[1::3])), list(map(int, body[2::3]))
+    except ValueError:
+        _reject_graph(text)
+    edges = len(counts) - 1
+    if (p != "p" or nzf != "nzf" or n < 1 or m < 0 or counts[0] != 4
+            or counts.count(3) != edges or body[0::3].count("e") != edges):
+        _reject_graph(text)
+    if edges != m:
+        raise InputError(f"header promises {m} edges, file has {edges}")
+    return Multigraph.build(n, zip(tails, heads))
+
+
+def _reject_graph(text: str) -> NoReturn:
+    """Raise the error of the first bad line of a graph file."""
+    n = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -73,30 +133,29 @@ def parse_graph(text: str) -> Multigraph:
                 raise InputError(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: malformed edge line {line!r}")
-            arcs.append((_int(parts[1], lineno), _int(parts[2], lineno)))
+            for token in parts[1:]:
+                _int(token, lineno)
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing 'p nzf' header")
-    if len(arcs) != m:
-        raise InputError(f"header promises {m} edges, file has {len(arcs)}")
-    return Multigraph.build(n, arcs)
+    raise InternalCheckError("graph file rejected, but no line of it is bad")
 
 
 def format_graph(g: Multigraph) -> str:
-    lines = [f"p nzf {g.n} {g.m}"]
-    lines.extend(f"e {t} {h}" for _, (t, h) in sorted(g.arcs()))
-    return "\n".join(lines) + "\n"
+    edges = map("e %s %s".__mod__, map(itemgetter(1), g.arcs()))
+    return "\n".join(chain((f"p nzf {g.n} {g.m}",), edges)) + "\n"
 
 
 def build_flow_document(
     g: Multigraph, root: int, f: GroupFlow, int6: IntegerFlow
 ) -> FlowDocument:
-    entries = []
-    for eid, (t, h) in sorted(g.arcs()):
-        a, b = f[eid]
-        entries.append(FlowEntry(eid, t, h, a, b, pair_to_z6((a, b)), int6[eid]))
-    return FlowDocument(root=root, entries=tuple(entries))
+    entries = tuple([
+        _new_entry((eid, t, h, a, b, pair_to_z6((a, b)), int6[eid]))
+        for eid, (t, h) in g.arcs()
+        for a, b in (f[eid],)
+    ])
+    return FlowDocument(root=root, entries=entries)
 
 
 def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
@@ -114,20 +173,35 @@ def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt != "text":
         raise InputError(f"unknown format {fmt!r}")
-    lines = [f"s SOLUTION root={doc.root}"]
-    lines.extend(
-        f"f {e.edge_id} {e.tail} {e.head} {e.f2} {e.f3} {e.z6} {e.int6}"
-        for e in doc.entries
-    )
-    return "\n".join(lines) + "\n"
+    lines = map("f %s %s %s %s %s %s %s".__mod__, doc.entries)
+    return "\n".join(chain((f"s SOLUTION root={doc.root}",), lines)) + "\n"
 
 
 def parse_flow(text: str) -> FlowDocument:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_flow_json(stripped)
+    tokens, counts = _tokens(text)
+    try:
+        start = 8 * counts.index(3)  # the header, if every other line holds 8
+        s, solution, root_field = tokens[start:start + 3]
+        root = int(root_field[5:])
+        body = tokens[:start] + tokens[start + 3:]
+        values = [list(map(int, body[i::8])) for i in range(1, 8)]
+    except ValueError:
+        _reject_flow(text)
+    edges = len(counts) - 1
+    if (s != "s" or solution != "SOLUTION" or not root_field.startswith("root=")
+            or counts.count(8) != edges or body[0::8].count("f") != edges):
+        _reject_flow(text)
+    doc = FlowDocument(root=root, entries=tuple(map(_new_entry, zip(*values))))
+    _validate_flow_document(doc)
+    return doc
+
+
+def _reject_flow(text: str) -> NoReturn:
+    """Raise the error of the first bad line of a text flow file."""
     root = None
-    entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -142,15 +216,13 @@ def parse_flow(text: str) -> FlowDocument:
         elif parts[0] == "f":
             if len(parts) != 8:
                 raise InputError(f"line {lineno}: malformed flow line {line!r}")
-            vals = [_int(p, lineno) for p in parts[1:]]
-            entries.append(FlowEntry._make(vals))
+            for token in parts[1:]:
+                _int(token, lineno)
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if root is None:
         raise InputError("missing 's SOLUTION' header")
-    doc = FlowDocument(root=root, entries=tuple(entries))
-    _validate_flow_document(doc)
-    return doc
+    raise InternalCheckError("flow file rejected, but no line of it is bad")
 
 
 _JSON_FIELDS = ("id", "tail", "head", "f2", "f3", "z6", "int6")
@@ -176,14 +248,18 @@ def _parse_flow_json(text: str) -> FlowDocument:
             if type(value) is not int
         )
         raise InputError(f"edges[{i}]: {key} value {value!r} is not an integer")
-    doc = FlowDocument(root=root, entries=tuple(map(FlowEntry._make, rows)))
+    doc = FlowDocument(root=root, entries=tuple(map(_new_entry, rows)))
     _validate_flow_document(doc)
     return doc
 
 
 def _validate_flow_document(doc: FlowDocument) -> None:
+    entries = doc.entries
+    if (len(set(map(_edge_id, entries))) == len(entries)
+            and set(map(_values, entries)) <= _VALID_VALUES):
+        return
     seen = set()
-    for e in doc.entries:
+    for e in entries:
         where = f"edge {e.edge_id}"
         if e.edge_id in seen:
             raise InputError(f"{where}: duplicate edge id")
@@ -198,17 +274,13 @@ def _validate_flow_document(doc: FlowDocument) -> None:
             raise InputError(f"{where}: int6 value {e.int6} out of range")
         if e.int6 % 6 != e.z6:
             raise InputError(f"{where}: int6 value {e.int6} not congruent to z6 {e.z6}")
+    raise InternalCheckError("flow entries rejected, but no entry of them is bad")
 
 
 def flow_matches_graph(doc: FlowDocument, g: Multigraph) -> bool:
-    if len(doc.entries) != g.m:
-        return False
-    for e in doc.entries:
-        if not g.has_edge(e.edge_id):
-            return False
-        if g.endpoints(e.edge_id) != (e.tail, e.head):
-            return False
-    return True
+    entries = doc.entries
+    arcs = zip(map(_edge_id, entries), map(_ends, entries))
+    return len(entries) == g.m and all(map(g.arcs().__contains__, arcs))
 
 
 def _int(token: str, lineno: int) -> int:

@@ -13,6 +13,7 @@ modules read it through ``arcs()`` (every edge, in one pass), ``endpoints``
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import ItemsView, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -35,12 +36,13 @@ class Multigraph:
 
     @classmethod
     def build(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Multigraph":
-        """Build a graph from (tail, head) pairs; ids are assigned 0..m-1 in order."""
-        edges: dict[int, tuple[int, int]] = {}
-        for i, (t, h) in enumerate(arcs):
-            if not (0 <= t < n and 0 <= h < n):
-                raise InputError(f"edge {i}: endpoint out of range ({t}, {h}) with n={n}")
-            edges[i] = (t, h)
+        """Build a graph from (tail, head) tuples; ids are assigned 0..m-1 in order."""
+        edges = dict(enumerate(arcs))
+        ends = set(chain.from_iterable(edges.values()))
+        if ends and not (0 <= min(ends) and max(ends) < n):
+            i, (t, h) = next((i, (t, h)) for i, (t, h) in edges.items()
+                             if not (0 <= t < n and 0 <= h < n))
+            raise InputError(f"edge {i}: endpoint out of range ({t}, {h}) with n={n}")
         return cls(n, edges)
 
     # -- queries ---------------------------------------------------------

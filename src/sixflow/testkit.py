@@ -1,5 +1,7 @@
-"""Brute-force oracles, exhaustive small-graph enumeration, and seeded
-random generation of 2-edge-connected multigraphs.
+"""Brute-force oracles, exhaustive small-graph enumeration, seeded random
+generation of 2-edge-connected multigraphs, and fixed graph families
+(cycles, doubled cycles, circular ladders, grids, Petersen, loops at the
+root, flowers) for tests.
 
 The oracles are deliberately independent of the constructive solver: they
 enumerate assignments and check conservation directly, and this module does
@@ -153,3 +155,63 @@ def random_2ec_multigraph(n: int, extra_ears: int, seed: int) -> Multigraph:
         b = rng.randrange(vcount)
         arcs.append((a, b))
     return Multigraph.build(vcount, arcs)
+
+
+# -- graph families --------------------------------------------------------
+# Shapes the ear generator rarely draws: long cycles, large parallel classes,
+# grids, many loops at the root, and many components in G - u. Each graph is
+# 2-edge-connected for the sizes its docstring names.
+
+
+def cycle(n: int) -> Multigraph:
+    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0, n >= 1 (n = 1 is a loop)."""
+    return Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def doubled_cycle(n: int) -> Multigraph:
+    """``cycle(n)`` with every edge doubled, n >= 1."""
+    return Multigraph.build(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])
+
+
+def circular_ladder(k: int) -> Multigraph:
+    """Two k-cycles, 0..k-1 and k..2k-1, joined by the rungs (i, k + i), k >= 2."""
+    outer = [(i, (i + 1) % k) for i in range(k)]
+    inner = [(k + i, k + (i + 1) % k) for i in range(k)]
+    rungs = [(i, k + i) for i in range(k)]
+    return Multigraph.build(2 * k, outer + inner + rungs)
+
+
+def grid(rows: int, cols: int) -> Multigraph:
+    """The rows x cols grid, vertex r * cols + c, rows and cols >= 2."""
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Multigraph.build(rows * cols, right + down)
+
+
+def petersen() -> Multigraph:
+    """The Petersen graph: outer 5-cycle 0..4, spokes (i, i + 5), inner pentagram."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Multigraph.build(10, outer + spokes + inner)
+
+
+def with_root_loops(g: Multigraph, root: int, loops: int) -> Multigraph:
+    """g with ``loops`` more loops at ``root``, numbered after g's edges."""
+    arcs = [ends for _, ends in g.arcs()] + [(root, root)] * loops
+    return Multigraph.build(g.n, arcs)
+
+
+def flower(petals: list[int]) -> Multigraph:
+    """Cycles of the given lengths (each >= 1) through vertex 0.
+
+    A petal of length 1 is a loop at 0; each longer petal adds its own path
+    of new vertices, so G - 0 has one component per such petal.
+    """
+    arcs: list[tuple[int, int]] = []
+    n = 1
+    for length in petals:
+        chain = [0, *range(n, n + length - 1), 0]
+        n += length - 1
+        arcs.extend(zip(chain, chain[1:]))
+    return Multigraph.build(n, arcs)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from sixflow import Multigraph
+from sixflow.testkit import petersen
 
 
 def triangle() -> Multigraph:
@@ -15,13 +16,6 @@ def digon() -> Multigraph:
 
 def k4() -> Multigraph:
     return Multigraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-
-
-def petersen() -> Multigraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Multigraph.build(10, outer + spokes + inner)
 
 
 @pytest.fixture(name="triangle")

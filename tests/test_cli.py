@@ -38,6 +38,27 @@ class TestGraphFormat:
         with pytest.raises(InputError):
             parse_graph("p nzf 2 1\ne 0 5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p nzf 2 0\np nzf 2 0\n", "line 2: duplicate header"),
+        ("e 0 1\np nzf 2 1\n", "line 1: edge before header"),
+        ("p nzf 2 1\ne 0 1 1\n", "line 2: malformed edge line 'e 0 1 1'"),
+        ("p nzf 2 1\nx 0 1\n", "line 2: unknown record 'x'"),
+        ("q nzf 2 0\n", "line 1: unknown record 'q'"),
+        ("p nzf 2 1\ne 0 one\n", "line 2: expected an integer, got 'one'"),
+        ("c by hand\np nzf 2 1\nc the edge:\n\ne 0 z\n", "line 5: expected an integer, got 'z'"),
+        ("p nzf 3\n", "line 1: malformed header 'p nzf 3'"),
+        ("p nzf 0 0\n", "line 1: bad sizes in header"),
+        ("c nothing else\n", "missing 'p nzf' header"),
+        ("p nzf 3 3\ne 0 1\n", "header promises 3 edges, file has 1"),
+        ("p nzf 2 1\ne 0 5\n", "edge 0: endpoint out of range (0, 5) with n=2"),
+    ], ids=["duplicate-header", "edge-before-header", "malformed-edge", "unknown-record",
+            "unknown-first-record", "non-integer", "line-past-comments", "malformed-header", "bad-sizes",
+            "missing-header", "edge-count", "endpoint-range"])
+    def test_error_message(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
 
 class TestFlowFormat:
     def test_roundtrip_text(self, tmp_path, capsys):
@@ -68,6 +89,29 @@ class TestFlowFormat:
         bad = "s SOLUTION root=0\nf 0 0 1 0 1 4 3\n"
         with pytest.raises(InputError):
             parse_flow(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("s SOLUTION root=0\ns SOLUTION root=0\n", "line 2: duplicate solution header"),
+        ("s SOLUTION\n", "line 1: malformed solution header"),
+        ("s solution root=0\n", "line 1: malformed solution header"),
+        ("s SOLUTION node=0\n", "line 1: malformed solution header"),
+        ("s SOLUTION root=x\n", "line 1: expected an integer, got 'x'"),
+        ("s SOLUTION root=0\nf 0 0 1 0 1 4\n", "line 2: malformed flow line 'f 0 0 1 0 1 4'"),
+        ("s SOLUTION root=0\nq 1\n", "line 2: unknown record 'q'"),
+        ("f 0 0 1 0 1 4 4\n", "missing 's SOLUTION' header"),
+        ("s SOLUTION root=0\nf 0 0 1 0 1 4 4\nf 0 1 0 0 1 4 4\n", "edge 0: duplicate edge id"),
+        ("s SOLUTION root=0\nf 0 0 1 2 1 4 4\n", "edge 0: f2 value 2 out of range"),
+        ("s SOLUTION root=0\nf 0 0 1 0 3 4 4\n", "edge 0: f3 value 3 out of range"),
+        ("s SOLUTION root=0\nf 0 0 1 0 1 3 3\n", "edge 0: z6 value 3 does not match (0, 1)"),
+        ("s SOLUTION root=0\nf 0 0 1 0 1 4 10\n", "edge 0: int6 value 10 out of range"),
+        ("s SOLUTION root=0\nf 0 0 1 0 1 4 -4\n", "edge 0: int6 value -4 not congruent to z6 4"),
+    ], ids=["duplicate-header", "header-fields", "header-word", "header-root", "root-non-integer",
+            "malformed-flow-line", "unknown-record", "missing-header", "duplicate-edge",
+            "f2-range", "f3-range", "z6-pairing", "int6-range", "int6-congruence"])
+    def test_error_message(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_flow(text)
+        assert str(exc.value) == message
 
 
 class TestSolveCommand:
@@ -213,6 +257,13 @@ class TestGenOracleBench:
 
         assert strip_timing(a) == strip_timing(b)
         assert len(strip_timing(a)) == 4
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_bench_reps_below_one_exits_1(self, capsys, reps):
+        assert main(["bench", "--sizes", "10", "--seeds", "1", "--reps", reps]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: repetition count must be positive\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("option, value", [("--sizes", "x"), ("--seeds", "1,y")])
     def test_bench_bad_list_is_a_usage_error(self, capsys, option, value):

@@ -10,12 +10,20 @@ from sixflow import (
     is_2_edge_connected,
     solve,
     verify_nowhere_zero,
+    verify_rooted,
 )
 from sixflow.testkit import (
+    circular_ladder,
+    cycle,
+    doubled_cycle,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
+    flower,
+    grid,
+    petersen,
     random_2ec_multigraph,
     rooted_flows,
+    with_root_loops,
 )
 
 
@@ -153,3 +161,50 @@ class TestRandomGenerator:
 
     def test_seed_sensitivity(self):
         assert random_2ec_multigraph(25, 10, 1) != random_2ec_multigraph(25, 10, 2)
+
+
+@st.composite
+def family_graphs(draw):
+    """A graph of at most 12 vertices from one of the families, each edge
+    reversed at random."""
+    loops_base = st.integers(1, 12).map(cycle)
+    g = draw(st.one_of(
+        st.integers(1, 12).map(cycle),
+        st.integers(1, 12).map(doubled_cycle),
+        st.integers(2, 6).map(circular_ladder),
+        st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]).map(
+            lambda size: grid(*size)),
+        st.builds(petersen),
+        loops_base.flatmap(lambda base: st.builds(
+            with_root_loops, st.just(base), st.integers(0, base.n - 1), st.integers(1, 30))),
+        st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(
+            lambda petals: sum(petals) - len(petals) < 12).map(flower),
+    ))
+    flips = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    return Multigraph.build(g.n, [(h, t) if flip else (t, h)
+                                  for flip, (_, (t, h)) in zip(flips, g.arcs())])
+
+
+class TestFamilies:
+    def test_sizes(self):
+        shapes = [
+            (cycle(7), 7, 7),
+            (doubled_cycle(5), 5, 10),
+            (circular_ladder(4), 8, 12),
+            (grid(3, 4), 12, 17),
+            (petersen(), 10, 15),
+            (with_root_loops(cycle(3), 2, 4), 3, 7),
+            (flower([1, 2, 4]), 5, 7),
+        ]
+        for g, n, m in shapes:
+            assert (g.n, g.m) == (n, m)
+        assert list(with_root_loops(cycle(3), 2, 2).arcs())[3:] == [(3, (2, 2)), (4, (2, 2))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(family_graphs())
+    def test_solve_at_every_root_is_rooted_and_repeatable(self, g):
+        assert is_2_edge_connected(g)
+        for u in g.vertices():
+            flow, trace = solve(g, u)
+            assert verify_rooted(g, u, flow)
+            assert solve(g, u) == (flow, trace)
