@@ -15,7 +15,6 @@ from .connectivity import (
 )
 from .construct import (
     ConstructionTrace,
-    extend_flow_over_contraction,
     extend_nonzero_parallel,
     solve,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "components",
     "enumerate_nz_flows",
     "enumerate_small_2ec_multigraphs",
-    "extend_flow_over_contraction",
     "extend_nonzero_parallel",
     "group_flow_to_integer_flow",
     "group_flow_to_z6",

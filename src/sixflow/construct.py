@@ -12,11 +12,13 @@ then extends the flow back over the contracted edges. Two cases:
 * bridgeless case - pick two root edges into the same component of G - root,
   take as H the union of two edge-disjoint paths between their far
   endpoints (one connected edge set that is even at every vertex), contract
-  H together with the root-to-H edges in one contraction, solve, and
-  extend back in stages: nonzero f3 on the parallel root edges, f3 by
-  conservation on H, then f2 = 1 on the whole of H (every vertex has even
-  degree in H, so mod-2 conservation survives). The extension and its
-  checks read only the edges at the root and at H.
+  H together with the root-to-H edges (the spokes) in one contraction,
+  solve, and extend back in two stages. One pass over the child's edges at
+  H gives the f3 excess at each H vertex, and the spokes get nonzero f3
+  that cancels its total. Then f3 on H follows by conservation, forced
+  leaf-upward over one BFS tree of H, and f2 = 1 on the whole of H (every
+  vertex has even degree in H, so mod-2 conservation survives). The
+  extension and its checks read only the edges at the root and at H.
 
 Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
 (the root stays as an isolated vertex, so nothing is renumbered), and one
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .connectivity import (
     bridges,  # not called here; perfbench/spans.py patches it by this name
@@ -115,8 +117,6 @@ def solve(
             stack.append(child)
             result = None
     assert result is not None
-    if debug:
-        _check(verify_rooted(g, u, result), "final flow fails the rooted check")
     return result, trace
 
 
@@ -189,7 +189,10 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     one edge set of G - u. Besides that search, one scan of G's edges finds
     the root edges and the loops, and one contraction builds the child
     instance. Every other pass reads only the edges at u and at H's
-    vertices, since the extension changes no value elsewhere.
+    vertices, since the extension changes no value elsewhere: before the
+    child is solved, the ends at H of the edges it keeps are listed once;
+    after it, one pass over them gives each H vertex's f3 excess, which the
+    spokes' values and then the tree walk over H cancel.
     The intermediate graph G/H is built only in debug mode, to re-verify it.
     """
     root_edges = []  # (edge id, far endpoint) for non-loop edges at u, ascending id
@@ -229,7 +232,11 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
            "path union has a vertex of odd degree")
     _check(u not in h_vertices, "path union touches the root")
 
-    spokes = frozenset(eid for eid, w in root_edges if w in h_vertices)
+    # The spokes' ends at H, ascending by id: (edge id, H vertex, +1 if the
+    # spoke enters H there).
+    spoke_ends = [(eid, w, 1 if g.endpoints(eid)[1] == w else -1)
+                  for eid, w in root_edges if w in h_vertices]
+    spokes = frozenset(eid for eid, _, _ in spoke_ends)
     _check(len(spokes) >= 2, "fewer than two root edges reach the path union")
 
     image = g.merge_image(path_edges)  # vertex images under G -> G/H
@@ -256,49 +263,55 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
         contracted_sizes=(len(path_edges), len(spokes)),
     ))
 
-    # Edges of G at H other than the spokes: those leaving H (signed +1 into
-    # H), and those inside H but off the paths (loops at H's image in G/H).
+    # The ends at H of the edges the child keeps, as (edge id, H vertex, +1
+    # if the edge enters H there); an edge inside H but off the paths has
+    # both its ends here. Loops at H carry no excess, only an f2 to check.
     adj = gu.undirected_adj()
-    crossing: list[tuple[int, int]] = []
-    inner: list[int] = []
-    for v in h_vertices:
-        for eid, w in adj[v]:
-            if w not in h_vertices:
-                crossing.append((eid, 1 if gu.endpoints(eid)[1] == v else -1))
-            elif eid not in path_edges:
-                inner.append(eid)
-    inner.extend(eid for eid, v in other_loops if v in h_vertices)
+    ends = [(eid, v, 1 if gu.endpoints(eid)[1] == v else -1)
+            for v in h_vertices for eid, _ in adj[v] if eid not in path_edges]
+    h_loops = [eid for eid, v in other_loops if v in h_vertices]
 
     flow = yield _solve_task(g2, u2, depth + 1, trace, debug)
 
-    # Stage 1: nonzero f3 across the parallel spoke class, f2 = 0 there.
-    residual = sum(sign * flow[eid][1] for eid, sign in crossing)
-    ordered = sorted(spokes)
-    signs = [1 if g.endpoints(eid)[1] in h_vertices else -1 for eid in ordered]
-    values = extend_nonzero_parallel((-residual) % 3, len(ordered), signs)
-    for eid, val in zip(ordered, values):
+    # Stage 1: the f3 excess at each H vertex, then nonzero f3 with f2 = 0
+    # across the parallel spoke class, cancelling H's total excess.
+    exc = dict.fromkeys(h_vertices, 0)
+    for eid, v, sign in ends:
+        exc[v] += sign * flow[eid][1]
+    values = extend_nonzero_parallel(
+        -sum(exc.values()) % 3, len(spoke_ends), [sign for _, _, sign in spoke_ends])
+    for (eid, v, sign), val in zip(spoke_ends, values):
         flow[eid] = (0, val)
+        exc[v] += sign * val
 
     if debug:
         _check(verify_flow(g1, flow), "spoke extension broke conservation")
-    at_h = [eid for eid, _ in crossing] + inner
     at_root = chain((eid for eid, _ in root_edges), root_loops)
+    at_h = chain((eid for eid, _, _ in ends), h_loops)
     _check(all(flow[eid][0] == 0 for eid in chain(at_root, at_h)),
            "f2 support touches the root or the contracted path vertex")
 
-    # Stage 2: f3 over the path union by conservation, then f2 = 1 on it.
-    # Conservation at H's vertices involves only the edges at H.
-    if path_edges:
-        f3_known = {eid: flow[eid][1] for eid in chain(spokes, at_h)}
-        h_graph = Multigraph(g.n, {
-            eid: g.endpoints(eid) for eid in sorted(path_edges.union(f3_known))
-        })
-        f3_full = extend_flow_over_contraction(h_graph, path_edges, f3_known)
-        for eid in path_edges:
-            flow[eid] = (1, f3_full[eid])
+    # Stage 2: f2 = 1 on H, and f3 on H by conservation. One BFS tree of H,
+    # from its smallest vertex with neighbours in ascending edge id (the
+    # order of ``adj``), is forced leaf-upward; every other path edge keeps
+    # f3 = 0.
+    flow.update(dict.fromkeys(path_edges, (1, 0)))
+    start = min(h_vertices)
+    seen = {start}
+    order = [(start, -1)]  # (vertex, edge to its parent), read as it grows
+    for v, _ in order:
+        for eid, w in adj[v]:
+            if eid in path_edges and w not in seen:
+                seen.add(w)
+                order.append((w, eid))
+    for v, eid in reversed(order[1:]):
+        t, h = g.endpoints(eid)
+        val = (exc[v] if t == v else -exc[v]) % 3
+        flow[eid] = (1, val)
+        exc[h] += val
+        exc[t] -= val
+    _check(exc[start] % 3 == 0, "contracted component has nonzero total excess")
     _check(all(flow[eid][1] != 0 for eid in spokes), "a spoke edge lost its f3 value")
-    if debug:
-        _check(verify_flow(g, flow), "path-union extension broke conservation")
     return flow
 
 
@@ -323,62 +336,3 @@ def extend_nonzero_parallel(
         w[0] = 2
         w[1] = 2
     return [v if s > 0 else 3 - v for v, s in zip(w, orientations)]
-
-
-def extend_flow_over_contraction(
-    g: Multigraph,
-    contracted: Iterable[int],
-    known: dict[int, int],
-) -> dict[int, int]:
-    """Extend a mod-3 flow on G/S to all of G.
-
-    ``known`` must cover every edge of g outside S, and no edge of S, and
-    form a flow on G/S. The S-edges are fixed through a spanning forest of
-    (V, S): every S-edge starts at 0, which loops and non-tree edges keep,
-    and tree edges are forced leaf-upward by conservation. Assigned values
-    may legitimately be zero. Only the excess at S's endpoints is read, so
-    g may hold just the edges at those vertices; ``known`` then needs to
-    conserve only at the vertices of G/S that S's components contract to.
-    """
-    contracted = frozenset(contracted)
-    total = dict(known)
-
-    exc = [0] * g.n
-    for eid, (t, h) in g.arcs():
-        if t == h or eid in contracted:
-            continue
-        val = total[eid]
-        exc[h] += val
-        exc[t] -= val
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in sorted(contracted):
-        total[eid] = 0
-        t, h = g.endpoints(eid)
-        if t != h:
-            adj.setdefault(t, []).append((eid, h))
-            adj.setdefault(h, []).append((eid, t))
-    # BFS from the smallest vertex of each part of (V, S), reading ``order``
-    # as it grows; then force that part's tree edges leaf-upward, each entry
-    # being (vertex, edge to its parent).
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        seen.add(start)
-        order = [(start, -1)]
-        for v, _ in order:
-            for eid, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append((w, eid))
-        for v, eid in reversed(order[1:]):
-            t, h = g.endpoints(eid)
-            sign = 1 if h == v else -1
-            val = (-sign * exc[v]) % 3
-            total[eid] = val
-            exc[h] += val
-            exc[t] -= val
-        _check(exc[start] % 3 == 0,
-               "contracted component has nonzero total excess")
-    return total

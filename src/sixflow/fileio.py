@@ -26,7 +26,10 @@ as a whole: line lengths and kinds, counts, endpoint ranges, and the set of
 value tuples. Every file these checks accept is parsed by this pass alone.
 A file they reject is walked again line by line (or edge by edge) only to
 name its first fault, and that walk raises on every path. Writing is one
-format per record, joined once.
+format per record, joined once. The machine format is written the same
+way, one template per entry laying out exactly the bytes of
+``json.dumps(..., indent=2, sort_keys=True)``, whose encoder runs in pure
+Python once ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -158,19 +161,21 @@ def build_flow_document(
     return FlowDocument(root=root, entries=entries)
 
 
+# One machine-format entry, exactly as json.dumps(..., indent=2,
+# sort_keys=True) lays it out, with its fields in sorted key order.
+_JSON_ENTRY = (
+    '    {\n      "f2": %d,\n      "f3": %d,\n      "head": %d,\n      "id": %d,\n'
+    '      "int6": %d,\n      "tail": %d,\n      "z6": %d\n    }'
+)
+_json_order = itemgetter(3, 4, 2, 0, 6, 1, 5)
+
+
 def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
     if fmt == "machine":
-        payload = {
-            "root": doc.root,
-            "edges": [
-                {
-                    "id": e.edge_id, "tail": e.tail, "head": e.head,
-                    "f2": e.f2, "f3": e.f3, "z6": e.z6, "int6": e.int6,
-                }
-                for e in doc.entries
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if not doc.entries:
+            return '{\n  "edges": [],\n  "root": %d\n}\n' % doc.root
+        edges = ",\n".join(map(_JSON_ENTRY.__mod__, map(_json_order, doc.entries)))
+        return '{\n  "edges": [\n%s\n  ],\n  "root": %d\n}\n' % (edges, doc.root)
     if fmt != "text":
         raise InputError(f"unknown format {fmt!r}")
     lines = map("f %s %s %s %s %s %s %s".__mod__, doc.entries)

@@ -55,9 +55,6 @@ class Multigraph:
     def edge_ids(self) -> Iterable[int]:
         return self._edges.keys()
 
-    def has_edge(self, eid: int) -> bool:
-        return eid in self._edges
-
     def arcs(self) -> ItemsView[int, tuple[int, int]]:
         """Live (edge id, (tail, head)) view in ascending id order; no copy."""
         return self._edges.items()

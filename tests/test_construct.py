@@ -10,7 +10,6 @@ from sixflow import (
     InternalCheckError,
     Multigraph,
     StructuralError,
-    extend_flow_over_contraction,
     extend_nonzero_parallel,
     solve,
     verify_flow,
@@ -167,6 +166,11 @@ class TestBridgelessChecksFire:
         child = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1), 6: (1, 1)}
         assert after_children(g, child) == self.F2_MESSAGE
 
+    def test_child_f2_on_a_loop_at_h(self):
+        g = Multigraph.build(3, self.PARALLEL + [(1, 1)])
+        child = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1), 6: (1, 1)}
+        assert after_children(g, child) == self.F2_MESSAGE
+
 
 class TestCutChecksFire:
     """The cut step's gluing checks, fed bad child flows on the triangle.
@@ -181,6 +185,51 @@ class TestCutChecksFire:
     def test_zero_f3_on_the_bridge(self, triangle):
         assert after_children(triangle, {1: (0, 0)}, {1: (0, 0)}) == (
             "cut edge f3 values failed to align")
+
+
+class TestBridgelessExtension:
+    """The bridgeless step's extension over H, fed a hand-made child flow.
+
+    G - 0 is the triangle 1, 2, 3 plus vertex 4, joined to 3 twice. x = 1
+    and x2 = 2, so H is the triangle (edges 3, 4, 5) and the spokes are
+    edges 0 and 1 (1 leaves H). The child keeps edges 2, 6 and 7, all
+    between the merged root and 4; edges 6 and 7 cross from H at 3. The BFS
+    tree of H from 1 is edges 3 and 5, so edge 4 is off it.
+    """
+
+    ARCS = [(0, 1), (2, 0), (0, 4), (1, 2), (2, 3), (3, 1), (3, 4), (4, 3)]
+    CHILD = {2: (0, 1), 6: (0, 1), 7: (0, 2)}
+
+    def test_flow_over_h(self):
+        g = Multigraph.build(5, self.ARCS)
+        trace = ConstructionTrace()
+        task = _solve_task(g, 0, 0, trace, False)
+        next(task)
+        with pytest.raises(StopIteration) as done:
+            task.send(dict(self.CHILD))
+        flow = done.value.value
+        assert trace.steps == [
+            BridgelessStep(depth=0, root_edges=(0, 1), contracted_sizes=(3, 2))]
+        assert verify_flow(g, flow)
+        assert verify_rooted(g, 0, flow)
+        assert {eid for eid, (a, _) in flow.items() if a == 1} == {3, 4, 5}
+        assert flow[4] == (1, 0)
+        assert flow[3][1] != 0 and flow[5][1] != 0
+
+    def test_spoke_values_off_the_excess(self, monkeypatch):
+        real = extend_nonzero_parallel
+        monkeypatch.setattr(construct, "extend_nonzero_parallel",
+                            lambda d, k, signs: real((d + 1) % 3, k, signs))
+        g = Multigraph.build(5, self.ARCS)
+        assert after_children(g, dict(self.CHILD)) == (
+            "contracted component has nonzero total excess")
+
+    def test_zero_spoke_value(self, monkeypatch):
+        # the right signed sum, carried by the last spoke alone
+        monkeypatch.setattr(construct, "extend_nonzero_parallel",
+                            lambda d, k, signs: [0] * (k - 1) + [d * signs[-1] % 3])
+        g = Multigraph.build(5, self.ARCS)
+        assert after_children(g, dict(self.CHILD)) == "a spoke edge lost its f3 value"
 
 
 def after_children(g, *child_flows, u=0):
@@ -231,28 +280,6 @@ class TestExtendNonzeroParallel:
         vals = extend_nonzero_parallel(d, k, signs)
         assert all(v in (1, 2) for v in vals)
         assert sum(s * v for s, v in zip(signs, vals)) % 3 == d
-
-
-class TestExtendOverContraction:
-    def test_single_contracted_edge(self, triangle):
-        # contract edge 0; remaining digon carries f3 = 1 around
-        known = {1: 1, 2: 1}
-        full = extend_flow_over_contraction(triangle, {0}, known)
-        assert full[0] == 1
-        assert verify_flow(triangle, {e: (0, v) for e, v in full.items()})
-
-    def test_star_tree_leaves_forced(self):
-        # spokes of a wheel contracted: each leaf has a single unknown
-        g = Multigraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
-        known = {3: 1, 4: 1, 5: 1}
-        full = extend_flow_over_contraction(g, {0, 1, 2}, known)
-        f = {e: (0, v) for e, v in full.items()}
-        assert verify_flow(g, f)
-
-    def test_zero_extends_to_zero(self, k4):
-        known = {3: 0, 4: 0, 5: 0}
-        full = extend_flow_over_contraction(k4, {0, 1, 2}, known)
-        assert all(full[e] == 0 for e in (0, 1, 2))
 
 
 @settings(max_examples=60, deadline=None)

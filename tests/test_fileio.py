@@ -377,3 +377,12 @@ class TestWritersMatchReference:
         assert doc == reference_build_flow_document(g, root, f, int6)
         for fmt in ("text", "machine"):
             assert format_flow(doc, fmt) == reference_format_flow(doc, fmt)
+
+    def test_flow_document_without_entries(self):
+        # the property may not draw an edgeless graph; the machine format
+        # writes its empty edge list on one line
+        for root in (0, 7):
+            doc = build_flow_document(Multigraph.build(root + 1, []), root, {}, {})
+            assert doc.entries == ()
+            for fmt in ("text", "machine"):
+                assert format_flow(doc, fmt) == reference_format_flow(doc, fmt)
