@@ -1,6 +1,6 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
-the partition at a bridge, and the even, connected edge set through two
-vertices.
+the partition at a bridge, the even, connected parts of G - u that two
+root edges reach, and the even, connected edge set through two vertices.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
@@ -176,6 +176,81 @@ def partition_at_bridge(
         v2 = frozenset(order[disc[root]:lo] + order[hi:disc[root] + size[root]])
     v1 = frozenset(range(n)).difference(v2, (u,))
     return (eid, v1, v2), comp
+
+
+def even_parts(
+    gu: Multigraph, comp: list[int], root_edges: list[tuple[int, int]]
+) -> list[tuple[list[int], frozenset[int]]]:
+    """Disjoint even, connected parts of G - u that two root edges reach.
+
+    ``gu`` is G - u in G's vertex ids, ``comp`` labels its components (as
+    ``partition_at_bridge`` returns them), and ``root_edges`` lists the
+    (edge id, far endpoint) of every non-loop edge at u, ascending by id.
+    Returns (vertices, edges) per part: the vertices of a connected
+    component K of C - J, for some component C of G - u, and the edges of
+    C - J inside K. Every vertex has even degree in those edges (loops do
+    not count), and K is listed only when at least two root edges reach it.
+    Components come in the order of their first root edge; a component may
+    give no part.
+
+    J is a T-join of C's odd vertices (Edmonds-Johnson 1973), so C - J is
+    even. It is built over a BFS tree of C from the far end of C's first
+    root edge, neighbours by edge id. Walking in BFS order, each odd vertex
+    first takes the first edge, by id, to an odd neighbour into J. Each
+    vertex still odd then toggles its parent tree edge in J, leaf-upward,
+    which makes the root even as well. Every pass is linear in C.
+    """
+    adj = gu.undirected_adj()
+    spokes = [0] * gu.n  # root edges per vertex
+    first: dict[int, int] = {}  # component label -> far end of its first root edge
+    for _, w in root_edges:
+        spokes[w] += 1
+        first.setdefault(comp[w], w)
+    odd = [len(a) % 2 == 1 for a in adj]
+    up = [-1] * gu.n  # BFS tree edge to the parent
+    seen = [False] * gu.n  # reached by the BFS
+    placed = [False] * gu.n  # given to a component of C - J
+    parts = []
+    for s in first.values():
+        seen[s] = True
+        order = [s]
+        for v in order:
+            for eid, w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    up[w] = eid
+                    order.append(w)
+        j: set[int] = set()
+        for v in order:
+            if odd[v]:
+                for eid, w in adj[v]:
+                    if odd[w]:
+                        j.add(eid)
+                        odd[v] = odd[w] = False
+                        break
+        for v in reversed(order[1:]):
+            if odd[v]:
+                eid = up[v]
+                j ^= {eid}
+                t, h = gu.endpoints(eid)
+                odd[t] ^= True
+                odd[h] ^= True
+        for r in order:
+            if placed[r]:
+                continue
+            placed[r] = True
+            verts = [r]
+            edges = set()
+            for v in verts:
+                for eid, w in adj[v]:
+                    if eid not in j:
+                        edges.add(eid)
+                        if not placed[w]:
+                            placed[w] = True
+                            verts.append(w)
+            if sum(spokes[v] for v in verts) >= 2:
+                parts.append((verts, frozenset(edges)))
+    return parts
 
 
 def two_edge_disjoint_paths(g: Multigraph, x: int, y: int) -> frozenset[int]:

@@ -9,16 +9,21 @@ then extends the flow back over the contracted edges. Two cases:
   as possible, so a cycle recurses only logarithmically deep). Each side is
   contracted away in turn, and the two sub-flows are glued along e
   (negating one f3 component if they disagree).
-* bridgeless case - pick two root edges into the same component of G - root,
-  take as H the union of two edge-disjoint paths between their far
-  endpoints (one connected edge set that is even at every vertex), contract
-  H together with the root-to-H edges (the spokes) in one contraction,
-  solve, and extend back in two stages. One pass over the child's edges at
-  H gives the f3 excess at each H vertex, and the spokes get nonzero f3
-  that cancels its total. Then f3 on H follows by conservation, forced
-  leaf-upward over one BFS tree of H, and f2 = 1 on the whole of H (every
-  vertex has even degree in H, so mod-2 conservation survives). The
-  extension and its checks read only the edges at the root and at H.
+* bridgeless case - in every component C of G - root, take parts: the
+  connected components of C - J, for J a T-join of C's odd vertices, that
+  at least two root edges reach (``even_parts``). Each part is connected
+  and even at every vertex; a component with no such part falls back to
+  the union of two edge-disjoint paths between the far ends of its first
+  two root edges. Contract every part together with its root edges (its
+  spokes) in one contraction, solve, and extend back in two stages, part
+  by part. One pass over the child's edges at the parts gives the f3
+  excess at each part vertex, and each part's spokes get nonzero f3 that
+  cancels the part's total. Then f3 on the part follows by conservation,
+  forced leaf-upward over one BFS tree of it, and f2 = 1 on the whole part
+  (every vertex has even degree in it, so mod-2 conservation survives).
+  The extension and its checks read only the edges at the root and at the
+  parts. On ear graphs, grids and doubled cycles a part swallows most of
+  its component, so the recursion is a few levels deep.
 
 Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
 (the root stays as an isolated vertex, so nothing is renumbered), and one
@@ -39,6 +44,7 @@ from typing import Optional, Sequence, Union
 from .connectivity import (
     bridges,  # not called here; perfbench/spans.py patches it by this name
     components,  # not called here either; patched by name the same way
+    even_parts,
     is_2_edge_connected,
     partition_at_bridge,
     require_2_edge_connected,
@@ -66,8 +72,10 @@ class CutStep:
 @dataclass(frozen=True)
 class BridgelessStep:
     depth: int
-    root_edges: tuple[int, int]
-    contracted_sizes: tuple[int, int]
+    root_edges: tuple[int, int]  # the first part's first two spokes
+    contracted_sizes: tuple[int, int]  # (part edges, spokes), over every part
+    parts: int
+    fallbacks: int  # parts that are path unions
 
 
 Step = Union[BaseStep, CutStep, BridgelessStep]
@@ -180,20 +188,44 @@ def _cut_case(g, u, cut, depth, trace, debug):
     return flow
 
 
+def _choose_parts(gu, comp, root_edges):
+    """The parts one bridgeless step contracts, and how many are fallbacks.
+
+    ``even_parts`` gives the even parts of each component of G - u. A
+    component that gives none falls back to the union of two edge-disjoint
+    paths between the far ends of its first two root edges, listed last.
+    Every part is (vertices, edges); a fallback lists only those two ends
+    and its edges.
+    """
+    parts = even_parts(gu, comp, root_edges)
+    covered = {comp[verts[0]] for verts, _ in parts}
+    pairs: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
+    for _, w in root_edges:
+        if comp[w] not in covered:
+            pairs.setdefault(comp[w], []).append(w)
+    for x, x2, *_ in pairs.values():
+        parts.append(([x, x2], two_edge_disjoint_paths(gu, x, x2)))
+    return parts, len(pairs)
+
+
 def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
-    """Contract H (the path union) and the spokes (the root edges into H)
-    in one contraction, solve the smaller instance, then extend back.
+    """Contract every part (``_choose_parts``) together with its spokes, the
+    root edges into it, in one contraction, solve the smaller instance, then
+    extend back part by part.
 
     ``gu`` is G - u in G's vertex ids and ``comp`` labels its components,
-    both from the step's one DFS. ``two_edge_disjoint_paths`` returns H as
-    one edge set of G - u. Besides that search, one scan of G's edges finds
-    the root edges and the loops, and one contraction builds the child
-    instance. Every other pass reads only the edges at u and at H's
-    vertices, since the extension changes no value elsewhere: before the
-    child is solved, the ends at H of the edges it keeps are listed once;
-    after it, one pass over them gives each H vertex's f3 excess, which the
-    spokes' values and then the tree walk over H cancel.
-    The intermediate graph G/H is built only in debug mode, to re-verify it.
+    both from the step's one DFS. The parts are disjoint, connected, free of
+    u, even at every vertex, and reached by at least two spokes each; the
+    always-on checks below hold the chooser to that. Besides the chooser,
+    one scan of G's edges finds the root edges and the loops, and one
+    contraction builds the child instance, in which every part and u are
+    one vertex, the child's root. Every other pass reads only the edges at u
+    and at the parts' vertices, since the extension changes no value
+    elsewhere: before the child is solved, the ends at the parts of the
+    edges it keeps are listed once; after it, one pass over them gives each
+    part vertex's f3 excess, which the spokes' values and then the tree walk
+    over each part cancel.
+    The intermediate graph G/parts is built only in debug mode, to re-verify it.
     """
     root_edges = []  # (edge id, far endpoint) for non-loop edges at u, ascending id
     root_loops = []
@@ -213,104 +245,114 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
         spokes_per_comp[v] >= 2 for v in range(g.n) if comp[v] == v != u),
         "a component of G - root has fewer than two edges to the root")
 
-    e_first, x = root_edges[0]
-    target_comp = comp[x]
-    e_second, x2 = next(
-        ((eid, w) for eid, w in root_edges[1:] if comp[w] == target_comp),
-        (-1, -1),
-    )
-    _check(e_second >= 0, "no second root edge into the chosen component")
+    parts, fallbacks = _choose_parts(gu, comp, root_edges)
+    vertex_sets = []
+    where = {}  # part vertex -> index of its part
+    contracted = set()  # every part's edges
+    for i, (verts, edges) in enumerate(parts):
+        deg = {}
+        for eid in edges:
+            for v in g.endpoints(eid):
+                deg[v] = deg.get(v, 0) + 1
+        _check(all(d % 2 == 0 for d in deg.values()),
+               "path union has a vertex of odd degree")
+        vs = set(verts).union(deg)
+        _check(u not in vs, "path union touches the root")
+        vertex_sets.append(vs)
+        where.update(dict.fromkeys(vs, i))
+        contracted |= edges
+    _check(len(where) == sum(map(len, vertex_sets)), "contracted parts overlap")
 
-    path_edges = two_edge_disjoint_paths(gu, x, x2)
-    h_vertices = {x, x2}
-    deg = {}
-    for eid in path_edges:
-        for v in g.endpoints(eid):
-            h_vertices.add(v)
-            deg[v] = deg.get(v, 0) + 1
-    _check(all(d % 2 == 0 for d in deg.values()),
-           "path union has a vertex of odd degree")
-    _check(u not in h_vertices, "path union touches the root")
+    # Each part's spokes' ends at it, ascending by id: (edge id, part
+    # vertex, +1 if the spoke enters the part there).
+    spoke_ends = [[] for _ in parts]
+    for eid, w in root_edges:
+        if w in where:
+            spoke_ends[where[w]].append((eid, w, 1 if g.endpoints(eid)[1] == w else -1))
+    _check(all(len(ends) >= 2 for ends in spoke_ends),
+           "fewer than two root edges reach the path union")
+    spokes = frozenset(eid for ends in spoke_ends for eid, _, _ in ends)
 
-    # The spokes' ends at H, ascending by id: (edge id, H vertex, +1 if the
-    # spoke enters H there).
-    spoke_ends = [(eid, w, 1 if g.endpoints(eid)[1] == w else -1)
-                  for eid, w in root_edges if w in h_vertices]
-    spokes = frozenset(eid for eid, _, _ in spoke_ends)
-    _check(len(spokes) >= 2, "fewer than two root edges reach the path union")
-
-    image = g.merge_image(path_edges)  # vertex images under G -> G/H
-    hub = image[x]
-    _check(all(image[v] == hub for v in h_vertices),
-           "path union did not contract to a single vertex")
+    image = g.merge_image(contracted)  # vertex images under G -> G/parts
     u_in_1 = image[u]
-    _check(u_in_1 != hub, "root merged into the path union")
-    for eid in spokes:
-        t, h = g.endpoints(eid)
-        _check({image[t], image[h]} == {u_in_1, hub}, "spoke edges are not a parallel class")
+    for vs, ends in zip(vertex_sets, spoke_ends):
+        hub = image[min(vs)]
+        _check(all(image[v] == hub for v in vs),
+               "path union did not contract to a single vertex")
+        _check(u_in_1 != hub, "root merged into the path union")
+        for eid, _, _ in ends:
+            t, h = g.endpoints(eid)
+            _check({image[t], image[h]} == {u_in_1, hub},
+                   "spoke edges are not a parallel class")
 
-    # G/H/spokes in one contraction: same vertex numbering and edge order as
-    # contracting H first and the spokes second.
-    g2, image2 = g.contract(path_edges | spokes)
+    # G/parts/spokes in one contraction: same vertex numbering and edge order
+    # as contracting the parts first and the spokes second.
+    g2, image2 = g.contract(contracted | spokes)
     u2 = image2[u]
     _check(g2.n < g.n, "bridgeless case failed to shrink the instance")
     if debug:
-        g1, _ = g.contract(path_edges)
+        g1, _ = g.contract(contracted)
         _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
                "bridgeless-case contraction broke 2-edge-connectivity")
     trace.steps.append(BridgelessStep(
-        depth=depth, root_edges=(e_first, e_second),
-        contracted_sizes=(len(path_edges), len(spokes)),
+        depth=depth, root_edges=(spoke_ends[0][0][0], spoke_ends[0][1][0]),
+        contracted_sizes=(len(contracted), len(spokes)),
+        parts=len(parts), fallbacks=fallbacks,
     ))
 
-    # The ends at H of the edges the child keeps, as (edge id, H vertex, +1
-    # if the edge enters H there); an edge inside H but off the paths has
-    # both its ends here. Loops at H carry no excess, only an f2 to check.
+    # The ends at the parts of the edges the child keeps, as (edge id, part
+    # vertex, +1 if the edge enters the part there); an edge with both ends
+    # at parts has both its ends here. Loops at the parts carry no excess,
+    # only an f2 to check.
     adj = gu.undirected_adj()
     ends = [(eid, v, 1 if gu.endpoints(eid)[1] == v else -1)
-            for v in h_vertices for eid, _ in adj[v] if eid not in path_edges]
-    h_loops = [eid for eid, v in other_loops if v in h_vertices]
+            for v in where for eid, _ in adj[v] if eid not in contracted]
+    part_loops = [eid for eid, v in other_loops if v in where]
 
     flow = yield _solve_task(g2, u2, depth + 1, trace, debug)
 
-    # Stage 1: the f3 excess at each H vertex, then nonzero f3 with f2 = 0
-    # across the parallel spoke class, cancelling H's total excess.
-    exc = dict.fromkeys(h_vertices, 0)
+    # Stage 1: the f3 excess at each part vertex, then per part nonzero f3
+    # with f2 = 0 across its parallel spoke class, cancelling the part's
+    # total excess.
+    exc = dict.fromkeys(where, 0)
     for eid, v, sign in ends:
         exc[v] += sign * flow[eid][1]
-    values = extend_nonzero_parallel(
-        -sum(exc.values()) % 3, len(spoke_ends), [sign for _, _, sign in spoke_ends])
-    for (eid, v, sign), val in zip(spoke_ends, values):
-        flow[eid] = (0, val)
-        exc[v] += sign * val
+    for vs, part_spokes in zip(vertex_sets, spoke_ends):
+        values = extend_nonzero_parallel(
+            -sum(exc[v] for v in vs) % 3, len(part_spokes),
+            [sign for _, _, sign in part_spokes])
+        for (eid, v, sign), val in zip(part_spokes, values):
+            flow[eid] = (0, val)
+            exc[v] += sign * val
 
     if debug:
         _check(verify_flow(g1, flow), "spoke extension broke conservation")
     at_root = chain((eid for eid, _ in root_edges), root_loops)
-    at_h = chain((eid for eid, _, _ in ends), h_loops)
-    _check(all(flow[eid][0] == 0 for eid in chain(at_root, at_h)),
+    at_parts = chain((eid for eid, _, _ in ends), part_loops)
+    _check(all(flow[eid][0] == 0 for eid in chain(at_root, at_parts)),
            "f2 support touches the root or the contracted path vertex")
 
-    # Stage 2: f2 = 1 on H, and f3 on H by conservation. One BFS tree of H,
-    # from its smallest vertex with neighbours in ascending edge id (the
-    # order of ``adj``), is forced leaf-upward; every other path edge keeps
-    # f3 = 0.
-    flow.update(dict.fromkeys(path_edges, (1, 0)))
-    start = min(h_vertices)
-    seen = {start}
-    order = [(start, -1)]  # (vertex, edge to its parent), read as it grows
-    for v, _ in order:
-        for eid, w in adj[v]:
-            if eid in path_edges and w not in seen:
-                seen.add(w)
-                order.append((w, eid))
-    for v, eid in reversed(order[1:]):
-        t, h = g.endpoints(eid)
-        val = (exc[v] if t == v else -exc[v]) % 3
-        flow[eid] = (1, val)
-        exc[h] += val
-        exc[t] -= val
-    _check(exc[start] % 3 == 0, "contracted component has nonzero total excess")
+    # Stage 2: f2 = 1 on every part, and f3 on it by conservation. One BFS
+    # tree per part, from its smallest vertex with neighbours in ascending
+    # edge id (the order of ``adj``), is forced leaf-upward; every other
+    # part edge keeps f3 = 0.
+    flow.update(dict.fromkeys(contracted, (1, 0)))
+    for vs in vertex_sets:
+        start = min(vs)
+        seen = {start}
+        order = [(start, -1)]  # (vertex, edge to its parent), read as it grows
+        for v, _ in order:
+            for eid, w in adj[v]:
+                if eid in contracted and w not in seen:
+                    seen.add(w)
+                    order.append((w, eid))
+        for v, eid in reversed(order[1:]):
+            t, h = g.endpoints(eid)
+            val = (exc[v] if t == v else -exc[v]) % 3
+            flow[eid] = (1, val)
+            exc[h] += val
+            exc[t] -= val
+        _check(exc[start] % 3 == 0, "contracted component has nonzero total excess")
     _check(all(flow[eid][1] != 0 for eid in spokes), "a spoke edge lost its f3 value")
     return flow
 

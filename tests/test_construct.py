@@ -1,5 +1,10 @@
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +23,14 @@ from sixflow import (
 )
 from sixflow import construct
 from sixflow.construct import BaseStep, BridgelessStep, ConstructionTrace, _solve_task
-from sixflow.testkit import enumerate_nz_flows, random_2ec_multigraph
+from sixflow.connectivity import partition_at_bridge
+from sixflow.testkit import (
+    doubled_cycle,
+    enumerate_nz_flows,
+    enumerate_small_2ec_multigraphs,
+    grid,
+    random_2ec_multigraph,
+)
 
 
 class TestSolveSmall:
@@ -90,17 +102,20 @@ class TestTraceShape:
         _, trace = solve(g, 0)
         assert 0 < trace.depth <= g.n
 
-    def test_deep_recursion_uses_no_call_stack(self):
-        # doubled cycle: one vertex merged per step, depth beyond the
-        # interpreter's default recursion limit
-        n = 1200
-        arcs = []
-        for i in range(n):
-            arcs.append((i, (i + 1) % n))
-            arcs.append((i, (i + 1) % n))
-        g = Multigraph.build(n, arcs)
+    def test_deep_recursion_uses_no_call_stack(self, monkeypatch):
+        # doubled cycle with every component on the path-union fallback: one
+        # vertex merged per step, depth beyond the interpreter's default
+        # recursion limit
+        monkeypatch.setattr(construct, "even_parts", lambda gu, comp, root_edges: [])
+        g = doubled_cycle(1200)
         f, trace = solve(g, 0)
         assert trace.depth > 1000
+        assert verify_rooted(g, 0, f)
+
+    def test_doubled_cycle_is_one_part(self):
+        g = doubled_cycle(2000)
+        f, trace = solve(g, 0)
+        assert trace.depth <= 2
         assert verify_rooted(g, 0, f)
 
     @pytest.mark.parametrize("u", [0, 1000])
@@ -111,6 +126,91 @@ class TestTraceShape:
         f, trace = solve(g, u)
         assert trace.depth <= 2 * math.ceil(math.log2(n))
         assert verify_rooted(g, u, f)
+
+
+def check_parts(g, u):
+    """Every part one bridgeless step at u would contract is even, connected
+    in G - u, free of u, disjoint from the others, and reached by at least
+    two root edges; every component of G - u gets a part."""
+    gu = g.delete_vertex(u)
+    cut, comp = partition_at_bridge(gu, u)
+    if cut is not None or g.n == 1:
+        return
+    root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
+                  if (t == u) != (h == u)]
+    parts, _ = construct._choose_parts(gu, comp, root_edges)
+    taken = set()
+    for verts, edges in parts:
+        deg = dict.fromkeys(verts, 0)
+        reach = {v: {v} for v in verts}  # vertex -> its piece, merged along edges
+        for eid in edges:
+            t, h = gu.endpoints(eid)
+            assert t != h and u not in (t, h)
+            deg[t] = deg.get(t, 0) + 1
+            deg[h] = deg.get(h, 0) + 1
+            piece = reach.setdefault(t, {t}) | reach.setdefault(h, {h})
+            for v in piece:
+                reach[v] = piece
+        assert all(d % 2 == 0 for d in deg.values())
+        assert len(reach[verts[0]]) == len(deg)
+        assert u not in deg and taken.isdisjoint(deg)
+        taken |= deg.keys()
+        assert sum(w in deg for _, w in root_edges) >= 2
+    assert {comp[v] for v in taken} == {comp[w] for _, w in root_edges}
+
+
+class TestPartChooser:
+    def test_small_graphs_every_root(self):
+        for g in enumerate_small_2ec_multigraphs(4, 7):
+            for u in g.vertices():
+                check_parts(g, u)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 20), st.integers(0, 10 ** 6))
+    def test_ear_graphs_every_root(self, n, ears, seed):
+        g = random_2ec_multigraph(n, ears, seed)
+        for u in g.vertices():
+            check_parts(g, u)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9))
+    def test_grids_every_root(self, rows, cols):
+        g = grid(rows, cols)
+        for u in g.vertices():
+            check_parts(g, u)
+
+
+class TestScale:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    EAR_GRAPH = (
+        "import json, time\n"
+        "from sixflow import random_2ec_multigraph, solve, verify_rooted\n"
+        "g = random_2ec_multigraph(20_000, 10_000, 1)\n"
+        "t0 = time.perf_counter()\n"
+        "flow, trace = solve(g, 0)\n"
+        "seconds = time.perf_counter() - t0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "print(json.dumps([seconds, peak / 1024, trace.depth, verify_rooted(g, 0, flow)]))\n"
+    )
+
+    def test_ear_graph_of_20000_vertices(self):
+        # a fresh process, so that its peak resident set (VmHWM) is this solve's
+        path = os.pathsep.join(filter(None, (str(self.SRC), os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", self.EAR_GRAPH], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        seconds, peak_mb, depth, rooted = json.loads(out.stdout)
+        assert rooted
+        assert seconds < 10, f"{seconds:.2f}s at depth {depth}"
+        assert peak_mb < 300, f"{peak_mb:.0f} MB at depth {depth}"
+
+    def test_grid_100_by_100(self):
+        g = grid(100, 100)
+        t0 = time.perf_counter()
+        f, trace = solve(g, 0)
+        seconds = time.perf_counter() - t0
+        assert verify_rooted(g, 0, f)
+        assert seconds < 5, f"{seconds:.2f}s at depth {trace.depth}"
 
 
 class TestBridgelessChecksFire:
@@ -138,37 +238,65 @@ class TestBridgelessChecksFire:
         assert self.first_step(g) == (
             "a component of G - root has fewer than two edges to the root")
 
+    @staticmethod
+    def inject(monkeypatch, *parts):
+        # the chooser returns the given parts, each (vertices, edges)
+        monkeypatch.setattr(construct, "even_parts", lambda gu, comp, root_edges: [
+            (verts, frozenset(edges)) for verts, edges in parts])
+
+    # On K4 at root 0, G - 0 is the triangle 1, 2, 3 (edges 3 = (1, 2),
+    # 4 = (1, 3), 5 = (2, 3)), and each of its vertices has one root edge.
+
     def test_odd_path_union(self, k4, monkeypatch):
-        # G - 0 is the triangle 1, 2, 3; x = 1, x2 = 2. Edges 3 = (1, 2) and
-        # 4 = (1, 3) leave 2 and 3 with odd degree.
+        # edges 3 and 4 leave 2 and 3 with odd degree
+        self.inject(monkeypatch, ([1, 2, 3], {3, 4}))
+        assert self.first_step(k4) == "path union has a vertex of odd degree"
+
+    def test_odd_fallback(self, k4, monkeypatch):
+        # no part, so the triangle falls back to the path union from 1 to 2
+        self.inject(monkeypatch)
         monkeypatch.setattr(construct, "two_edge_disjoint_paths",
                             lambda gu, x, y: frozenset({3, 4}))
         assert self.first_step(k4) == "path union has a vertex of odd degree"
 
+    def test_part_at_the_root(self, k4, monkeypatch):
+        self.inject(monkeypatch, ([0, 1], set()))
+        assert self.first_step(k4) == "path union touches the root"
+
+    def test_overlapping_parts(self, k4, monkeypatch):
+        self.inject(monkeypatch, ([1, 2, 3], {3, 4, 5}), ([3], set()))
+        assert self.first_step(k4) == "contracted parts overlap"
+
+    def test_part_with_one_spoke(self, k4, monkeypatch):
+        self.inject(monkeypatch, ([1], set()))
+        assert self.first_step(k4) == "fewer than two root edges reach the path union"
+
     def test_disconnected_path_union(self, k4, monkeypatch):
-        # an empty (so even) path union with x != x2 leaves H in two pieces
-        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda gu, x, y: frozenset())
+        # an empty (so even) edge set leaves 1 and 2 in two pieces
+        self.inject(monkeypatch, ([1, 2], set()))
         assert self.first_step(k4) == "path union did not contract to a single vertex"
 
-    # x = x2 = 1, so H = {1}, the spokes are edges 0 and 1, and the child
-    # keeps edges 2-5; edge 4 is a root edge outside the spokes
-    PARALLEL = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
+    # G - 0 is a theta graph: 1 and 2, the odd vertices, are joined through
+    # 3, 4 and 5. The T-join J is the tree path 1-3-2 (edges 3 and 4), so
+    # the one part is the 4-cycle 1-4-2-5 (edges 5-8) with spokes 0 and 1,
+    # and {3} is a component of C - J with one root edge, edge 2. The child
+    # keeps edges 2-4, all between the merged root and 3.
+    THETA = [(0, 1), (0, 2), (0, 3), (1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 2)]
     F2_MESSAGE = "f2 support touches the root or the contracted path vertex"
 
     def test_child_f2_on_a_root_edge(self):
-        g = Multigraph.build(3, self.PARALLEL)
-        child = {2: (0, 1), 3: (0, 1), 4: (1, 1), 5: (0, 1)}
+        g = Multigraph.build(6, self.THETA)
+        child = {2: (1, 1), 3: (0, 1), 4: (0, 2)}
         assert after_children(g, child) == self.F2_MESSAGE
 
     def test_child_f2_on_a_root_loop(self):
-        g = Multigraph.build(3, self.PARALLEL + [(0, 0)])
-        child = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1), 6: (1, 1)}
+        g = Multigraph.build(6, self.THETA + [(0, 0)])
+        child = {2: (0, 1), 3: (0, 1), 4: (0, 2), 9: (1, 1)}
         assert after_children(g, child) == self.F2_MESSAGE
 
     def test_child_f2_on_a_loop_at_h(self):
-        g = Multigraph.build(3, self.PARALLEL + [(1, 1)])
-        child = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1), 6: (1, 1)}
+        g = Multigraph.build(6, self.THETA + [(1, 1)])
+        child = {2: (0, 1), 3: (0, 1), 4: (0, 2), 9: (1, 1)}
         assert after_children(g, child) == self.F2_MESSAGE
 
 
@@ -188,17 +316,18 @@ class TestCutChecksFire:
 
 
 class TestBridgelessExtension:
-    """The bridgeless step's extension over H, fed a hand-made child flow.
+    """The bridgeless step's extension over its part, fed a hand-made child flow.
 
-    G - 0 is the triangle 1, 2, 3 plus vertex 4, joined to 3 twice. x = 1
-    and x2 = 2, so H is the triangle (edges 3, 4, 5) and the spokes are
-    edges 0 and 1 (1 leaves H). The child keeps edges 2, 6 and 7, all
-    between the merged root and 4; edges 6 and 7 cross from H at 3. The BFS
-    tree of H from 1 is edges 3 and 5, so edge 4 is off it.
+    In G - 0, vertices 1 and 3 are odd, and the greedy pairing puts edge
+    3 = (1, 3) in J. The one part is the 4-cycle 1-2-4-3 (edges 1, 4, 5
+    and 6), with spokes 0 (enters 1) and 2 (leaves 2). The child is the
+    merged root with one loop, edge 3, whose two ends at the part give
+    excess -1 at 1 and +1 at 3. The BFS tree of the part from 1 is edges
+    1, 4 and 5, so edge 6 is off it.
     """
 
-    ARCS = [(0, 1), (2, 0), (0, 4), (1, 2), (2, 3), (3, 1), (3, 4), (4, 3)]
-    CHILD = {2: (0, 1), 6: (0, 1), 7: (0, 2)}
+    ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 1), (2, 4), (4, 3)]
+    CHILD = {3: (0, 1)}
 
     def test_flow_over_h(self):
         g = Multigraph.build(5, self.ARCS)
@@ -208,13 +337,15 @@ class TestBridgelessExtension:
         with pytest.raises(StopIteration) as done:
             task.send(dict(self.CHILD))
         flow = done.value.value
-        assert trace.steps == [
-            BridgelessStep(depth=0, root_edges=(0, 1), contracted_sizes=(3, 2))]
+        assert trace.steps == [BridgelessStep(
+            depth=0, root_edges=(0, 2), contracted_sizes=(4, 2), parts=1, fallbacks=0)]
+        # total excess 0 gives spoke values 2 and 2, leaving +2 at 1 and
+        # -2 at 2; the walk forces 5 = (2, 4) to 0, 4 = (3, 1) to 1 and
+        # 1 = (1, 2) to 2
+        assert flow == {0: (0, 2), 1: (1, 2), 2: (0, 2), 3: (0, 1),
+                        4: (1, 1), 5: (1, 0), 6: (1, 0)}
         assert verify_flow(g, flow)
         assert verify_rooted(g, 0, flow)
-        assert {eid for eid, (a, _) in flow.items() if a == 1} == {3, 4, 5}
-        assert flow[4] == (1, 0)
-        assert flow[3][1] != 0 and flow[5][1] != 0
 
     def test_spoke_values_off_the_excess(self, monkeypatch):
         real = extend_nonzero_parallel
