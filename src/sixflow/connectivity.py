@@ -1,18 +1,19 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
-the partition at a bridge, the even, connected parts of G - u that two
-root edges reach, and the even, connected edge set through two vertices.
+the 2-edge-connected blocks of G - u, the even, connected parts of G - u
+that two root edges reach, and the even, connected edge set through two
+vertices.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
 
-Bridges, 2-edge-connectivity and the partition at a bridge come from one
-iterative lowpoint DFS (Tarjan 1974) that also numbers the vertices in
-preorder and counts subtree sizes. Every DFS subtree is then an interval of
-the preorder, and a DFS root's interval is its whole component, so
-connectivity, the component of every vertex, both sides of any bridge, and
-so the most balanced bridge, are read off that one pass. The recursion runs
-it once per step, on G - u in G's own vertex ids; ``components`` is a
-separate breadth-first pass that the recursion does not use.
+Bridges, 2-edge-connectivity and the blocks come from one iterative
+lowpoint DFS (Tarjan 1974) that also lists the vertices in preorder and
+counts subtree sizes. Every DFS subtree is then an interval of the
+preorder, and a DFS root's interval is its whole component, so
+connectivity, the component of every vertex and the block of every vertex
+are read off that one pass. The recursion runs it once per step, on G - u
+in G's own vertex ids; ``components`` is a separate breadth-first pass
+that the recursion does not use.
 """
 
 from __future__ import annotations
@@ -46,17 +47,14 @@ def components(g: Multigraph) -> list[frozenset[int]]:
     return out
 
 
-def _lowpoint_dfs(
-    g: Multigraph,
-) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
+def _lowpoint_dfs(g: Multigraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """One iterative lowpoint DFS over g, orientation ignored.
 
-    Returns (order, disc, size, cut). ``order`` lists the vertices in
-    preorder and ``disc[v]`` is v's index in it. ``size[v]`` counts v's DFS
-    subtree, which is the interval ``order[disc[v] : disc[v] + size[v]]``;
-    a DFS root's interval is its whole component. ``cut`` holds one
-    (edge id, child, root) triple per bridge: the bridge's endpoint farther
-    from the root of its DFS tree, and that root.
+    Returns (order, size, cut). ``order`` lists the vertices in preorder.
+    ``size[v]`` counts v's DFS subtree, which is the interval of ``order``
+    of that length starting at v; a DFS root's interval is its whole
+    component. ``cut`` holds one (edge id, child) pair per bridge, the child
+    being the bridge's endpoint farther from the root of its DFS tree.
 
     Skipping only the single entering edge (by id, not by endpoint pair)
     makes parallel edges behave as back edges, so no parallel edge is ever
@@ -68,7 +66,7 @@ def _lowpoint_dfs(
     low = [0] * n
     size = [0] * n
     order: list[int] = []
-    cut: list[tuple[int, int, int]] = []
+    cut: list[tuple[int, int]] = []
     timer = 0
     for s in range(n):
         if disc[s] != -1:
@@ -100,24 +98,24 @@ def _lowpoint_dfs(
                     if low[v] < low[pv]:
                         low[pv] = low[v]
                     if low[v] > disc[pv]:
-                        cut.append((pe, v, s))
-    return order, disc, size, cut
+                        cut.append((pe, v))
+    return order, size, cut
 
 
 def bridges(g: Multigraph) -> frozenset[int]:
     """All cut-edges, via the lowpoint DFS."""
-    return frozenset(eid for eid, _, _ in _lowpoint_dfs(g)[3])
+    return frozenset(eid for eid, _ in _lowpoint_dfs(g)[2])
 
 
 def is_2_edge_connected(g: Multigraph) -> bool:
     """Connected (a single vertex counts) with no bridge. Loops are irrelevant."""
-    _, _, size, cut = _lowpoint_dfs(g)
+    _, size, cut = _lowpoint_dfs(g)
     return not cut and (g.n == 0 or size[0] == g.n)
 
 
 def require_2_edge_connected(g: Multigraph) -> None:
     """Raise StructuralError naming a disconnection or a bridge."""
-    order, _, size, cut = _lowpoint_dfs(g)
+    order, size, cut = _lowpoint_dfs(g)
     if g.n and size[0] < g.n:
         small = frozenset(order[:size[0]])  # vertex 0's component
         raise StructuralError(
@@ -125,57 +123,44 @@ def require_2_edge_connected(g: Multigraph) -> None:
             component=small,
         )
     if cut:
-        eid = min(eid for eid, _, _ in cut)
+        eid = min(eid for eid, _ in cut)
         t, h = g.endpoints(eid)
         raise StructuralError(
             f"graph has a bridge: edge {eid} ({t}, {h})", bridge=eid
         )
 
 
-def partition_at_bridge(
-    gu: Multigraph, u: int
-) -> tuple[Optional[tuple[int, frozenset[int], frozenset[int]]], list[int]]:
-    """Split V - u at the most balanced bridge of ``gu`` = G - u.
+def partition_at_bridge(gu: Multigraph) -> tuple[Optional[list[int]], list[int]]:
+    """Label the 2-edge-connected blocks and the components of ``gu`` = G - u.
 
     ``gu`` keeps G's vertex ids, with u isolated (``Multigraph.delete_vertex``).
-    Returns (cut, comp). ``comp[v]`` labels v's component of G - u by its
-    smallest vertex; u is its own component. ``cut`` is None when gu has no
-    bridge, and otherwise (eid, V1, V2): V2 is the side of e's head within
-    its component of G - u, V1 the rest of V - u, so e is the only G - u
-    edge between the sides. Components of G - u containing neither endpoint
-    of e land in V1. The bridge minimises max(|V1|, |V2|), ties going to the
-    smallest edge id.
+    Returns (block, comp). ``comp[v]`` labels v's component of G - u by its
+    smallest vertex; u is its own component. ``block`` is None when gu has
+    no bridge. Otherwise ``block[v]`` is the preorder position, in the
+    lowpoint DFS, of the first vertex of v's block: the component of v in gu
+    minus its bridges. A block's parent block, across the bridge nearer the
+    root of its DFS tree, has a smaller label.
 
-    One lowpoint DFS gives all of it: a DFS root's preorder interval is its
-    component, the bridge's child side is the child's interval.
+    One pass over the preorder gives both, with a stack of open subtree
+    intervals: one opens at each DFS root and at each bridge's child, and a
+    vertex takes its block from the innermost and its component from the
+    outermost.
     """
-    order, disc, size, cut = _lowpoint_dfs(gu)
-    n = gu.n
-    comp = [0] * n
-    start = 0
-    while start < n:
-        root = order[start]  # DFS roots come in increasing vertex order
-        stop = start + size[root]
-        for v in order[start:stop]:
-            comp[v] = root
-        start = stop
-    if not cut:
-        return None, comp
-    rest = n - 1  # |V - u|
-
-    def balance(bridge: tuple[int, int, int]) -> tuple[int, int]:
-        eid, child, root = bridge
-        k = size[child] if gu.endpoints(eid)[1] == child else size[root] - size[child]
-        return max(k, rest - k), eid  # k = |V2|
-
-    eid, child, root = min(cut, key=balance)
-    lo, hi = disc[child], disc[child] + size[child]
-    if gu.endpoints(eid)[1] == child:
-        v2 = frozenset(order[lo:hi])
-    else:
-        v2 = frozenset(order[disc[root]:lo] + order[hi:disc[root] + size[root]])
-    v1 = frozenset(range(n)).difference(v2, (u,))
-    return (eid, v1, v2), comp
+    order, size, cut = _lowpoint_dfs(gu)
+    starts = [False] * gu.n  # v is a bridge's child
+    for _, child in cut:
+        starts[child] = True
+    comp = [0] * gu.n
+    block = [0] * gu.n
+    intervals = []  # (end, label) of the subtree intervals that hold position i
+    for i, v in enumerate(order):
+        while intervals and intervals[-1][0] <= i:
+            intervals.pop()
+        if not intervals or starts[v]:
+            intervals.append((i + size[v], i))
+        comp[v] = order[intervals[0][1]]  # DFS roots come in increasing vertex order
+        block[v] = intervals[-1][1]
+    return (block if cut else None), comp
 
 
 def even_parts(

@@ -1,14 +1,21 @@
 """Recursive construction of a nowhere-zero Z2 x Z3 flow whose f2 component
 vanishes on every edge at a chosen root vertex.
 
-The recursion contracts pieces of the graph, solves the smaller instance,
-then extends the flow back over the contracted edges. Two cases:
+The recursion contracts pieces of the graph, solves the smaller instances,
+then extends the flow back over the contracted edges. An instance of at
+most two vertices is solved directly: f2 = 0 everywhere, f3 = 1 on loops,
+and nonzero f3 summing to zero on the parallel class between the two
+vertices. Otherwise two cases:
 
-* cut case - the graph minus the root has a bridge; the most balanced one,
-  e, splits the rest of the edges into two sides (the larger side as small
-  as possible, so a cycle recurses only logarithmically deep). Each side is
-  contracted away in turn, and the two sub-flows are glued along e
-  (negating one f3 component if they disagree).
+* cut case - the graph minus the root has bridges. Each 2-edge-connected
+  block B of G - root (Tarjan 1974) gives one child: B with the rest of
+  the graph contracted into the root, built straight from the block labels
+  in one pass over the edges. Every bridge is a root edge in both of its
+  children, so both give it f2 = 0. The children are solved one after
+  another down the block tree, and each is glued to the flow so far along
+  the bridge to its parent block, negating the child's f3 if the two
+  disagree: the paper's cut case, applied at every bridge at once. A
+  cycle solves at depth 1.
 * bridgeless case - in every component C of G - root, take parts: the
   connected components of C - J, for J a T-join of C's odd vertices, that
   at least two root edges reach (``even_parts``). Each part is connected
@@ -28,8 +35,8 @@ then extends the flow back over the contracted edges. Two cases:
 Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
 (the root stays as an isolated vertex, so nothing is renumbered), and one
 lowpoint DFS of it, ``partition_at_bridge``, picks the case. It gives the
-most balanced bridge, or, when there is none, the component of each vertex,
-over which the bridgeless case counts the root edges.
+block of each vertex when there are bridges, and the component of each
+vertex, over which the bridgeless case counts the root edges.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -58,15 +65,14 @@ from .multigraph import Multigraph
 @dataclass(frozen=True)
 class BaseStep:
     depth: int
-    loop_edges: int
+    loop_edges: int  # every edge of the instance: loops, and one parallel class
 
 
 @dataclass(frozen=True)
 class CutStep:
     depth: int
-    bridge: int
-    side_sizes: tuple[int, int]
-    contracted_sizes: tuple[int, int]
+    blocks: int
+    bridges: int
 
 
 @dataclass(frozen=True)
@@ -129,62 +135,77 @@ def solve(
 
 
 def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
-    if g.n == 1:
-        # Base case: every edge is a loop; (0, 1) is nonzero with f2 = 0.
-        trace.steps.append(BaseStep(depth=depth, loop_edges=g.m))
-        return {eid: (0, 1) for eid in g.edge_ids}
-    gu = g.delete_vertex(u)
-    cut, comp = partition_at_bridge(gu, u)
-    if cut is not None:
-        flow = yield from _cut_case(g, u, cut, depth, trace, debug)
+    if g.n <= 2:
+        flow = _two_vertices(g, depth, trace)
     else:
-        flow = yield from _bridgeless_case(g, u, gu, comp, depth, trace, debug)
+        gu = g.delete_vertex(u)
+        block, comp = partition_at_bridge(gu)
+        if block is not None:
+            flow = yield from _cut_case(g, u, block, depth, trace, debug)
+        else:
+            flow = yield from _bridgeless_case(g, u, gu, comp, depth, trace, debug)
     if debug:
         _check(verify_rooted(g, u, flow), f"flow fails the rooted check at depth {depth}")
     return flow
 
 
-def _cut_case(g, u, cut, depth, trace, debug):
-    eid, side1, side2 = cut
-    # Side label per vertex: 0 at the root, 1 or 2 on a side. An edge's
-    # labels OR-ed give its bucket; 3 means it crosses the partition.
-    side = [0] * g.n
-    for v in side1:
-        side[v] = 1
-    for v in side2:
-        side[v] = 2
-    buckets: tuple[list[int], ...] = ([], [], [], [])
-    for other, (t, h) in g.arcs():
-        buckets[side[t] | side[h]].append(other)
-    _check(buckets[3] == [eid], "cut-case edge crosses the partition")
-    e1 = buckets[1] + buckets[0]  # loops at the root ride with side 1
-    e2 = buckets[2]
+def _two_vertices(g, depth, trace):
+    """n <= 2: f2 = 0 everywhere, (0, 1) on every loop, and nonzero f3 that
+    sums to zero on the parallel class between the two vertices."""
+    trace.steps.append(BaseStep(depth=depth, loop_edges=g.m))
+    flow = dict.fromkeys(g.edge_ids, (0, 1))
+    links = [(eid, 1 if t == 0 else -1) for eid, (t, h) in g.arcs() if t != h]
+    if links:
+        values = extend_nonzero_parallel(0, len(links), [sign for _, sign in links])
+        flow.update((eid, (0, val)) for (eid, _), val in zip(links, values))
+    return flow
 
-    g1, image1 = g.contract(e1)
-    g2, image2 = g.contract(e2)
-    r1 = image1[u]
-    r2 = image2[u]
-    _check(g1.n == len(side2) + 1, "side 1 did not contract to a single vertex")
-    _check(g2.n == len(side1) + 1, "side 2 did not contract to a single vertex")
-    _check(g1.n < g.n and g2.n < g.n, "cut case failed to shrink the instance")
+
+def _cut_case(g, u, block, depth, trace, debug):
+    """One child per 2-edge-connected block of G - u, glued along the bridges.
+
+    A block's child is its vertices, numbered 1, 2, ... in id order, and a
+    root 0 for the rest of G. An edge goes to the child of each block it
+    touches: a bridge to both, a loop at u to the first. The children are
+    solved in ascending label (``partition_at_bridge``); each but the first
+    of its component of G - u shares one bridge, to its parent block, with
+    the flow so far, and is negated in f3 if the two values disagree there.
+    """
+    local = [0] * g.n  # v's vertex in its block's child; u stays 0
+    sizes: dict[int, int] = {}  # block label -> its vertex count
+    for v in range(g.n):
+        if v != u:
+            local[v] = sizes[block[v]] = sizes.get(block[v], 0) + 1
+    labels = sorted(sizes)
+    edges = {b: {} for b in labels}  # block label -> its child's edges
+    for eid, (t, h) in g.arcs():
+        bt = -1 if t == u else block[t]
+        bh = -1 if h == u else block[h]
+        if bt == bh:
+            edges[labels[0] if bt < 0 else bt][eid] = (local[t], local[h])
+            continue
+        if bt >= 0:
+            edges[bt][eid] = (local[t], 0)
+        if bh >= 0:
+            edges[bh][eid] = (0, local[h])
+    children = [Multigraph(sizes[b] + 1, edges[b]) for b in labels]
     if debug:
-        _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
+        _check(all(map(is_2_edge_connected, children)),
                "cut-case contraction broke 2-edge-connectivity")
-    trace.steps.append(CutStep(
-        depth=depth, bridge=eid, side_sizes=(len(side1), len(side2)),
-        contracted_sizes=(len(e1), len(e2)),
-    ))
+    trace.steps.append(CutStep(  # each bridge is in two children, every other edge in one
+        depth=depth, blocks=len(children), bridges=sum(c.m for c in children) - g.m))
 
-    fa = yield _solve_task(g1, r1, depth + 1, trace, debug)  # covers e2 + {eid}
-    fb = yield _solve_task(g2, r2, depth + 1, trace, debug)  # covers e1 + {eid}
-
-    _check(fa[eid][0] == 0 == fb[eid][0],
-           "cut edge carries nonzero f2 from a subflow")
-    if fa[eid][1] != fb[eid][1]:
-        fa = negate_f3(fa)
-    _check(fa[eid][1] == fb[eid][1] != 0, "cut edge f3 values failed to align")
-    flow = fb
-    flow.update(fa)
+    flow: GroupFlow = {}
+    for child in children:
+        sub = yield _solve_task(child, 0, depth + 1, trace, debug)
+        eid = next((eid for eid in child.edge_ids if eid in flow), None)
+        if eid is not None:  # the bridge to the parent block
+            _check(flow[eid][0] == 0 == sub[eid][0],
+                   "cut edge carries nonzero f2 from a subflow")
+            if flow[eid][1] != sub[eid][1]:
+                sub = negate_f3(sub)
+            _check(flow[eid][1] == sub[eid][1] != 0, "cut edge f3 values failed to align")
+        flow.update(sub)
     return flow
 
 
@@ -246,7 +267,9 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
         "a component of G - root has fewer than two edges to the root")
 
     parts, fallbacks = _choose_parts(gu, comp, root_edges)
+    adj = gu.undirected_adj()
     vertex_sets = []
+    trees = []  # per part, its BFS tree as (vertex, edge to its parent) in BFS order
     where = {}  # part vertex -> index of its part
     contracted = set()  # every part's edges
     for i, (verts, edges) in enumerate(parts):
@@ -258,6 +281,18 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
                "path union has a vertex of odd degree")
         vs = set(verts).union(deg)
         _check(u not in vs, "path union touches the root")
+        # From the part's smallest vertex, neighbours in ascending edge id
+        # (the order of ``adj``); stage 2 forces f3 leaf-upward over it.
+        start = min(vs)
+        seen = {start}
+        tree = [(start, -1)]  # read as it grows
+        for v, _ in tree:
+            for eid, w in adj[v]:
+                if eid in edges and w not in seen:
+                    seen.add(w)
+                    tree.append((w, eid))
+        _check(len(tree) == len(vs), "path union did not contract to a single vertex")
+        trees.append(tree)
         vertex_sets.append(vs)
         where.update(dict.fromkeys(vs, i))
         contracted |= edges
@@ -273,23 +308,10 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
            "fewer than two root edges reach the path union")
     spokes = frozenset(eid for ends in spoke_ends for eid, _, _ in ends)
 
-    image = g.merge_image(contracted)  # vertex images under G -> G/parts
-    u_in_1 = image[u]
-    for vs, ends in zip(vertex_sets, spoke_ends):
-        hub = image[min(vs)]
-        _check(all(image[v] == hub for v in vs),
-               "path union did not contract to a single vertex")
-        _check(u_in_1 != hub, "root merged into the path union")
-        for eid, _, _ in ends:
-            t, h = g.endpoints(eid)
-            _check({image[t], image[h]} == {u_in_1, hub},
-                   "spoke edges are not a parallel class")
-
     # G/parts/spokes in one contraction: same vertex numbering and edge order
     # as contracting the parts first and the spokes second.
     g2, image2 = g.contract(contracted | spokes)
     u2 = image2[u]
-    _check(g2.n < g.n, "bridgeless case failed to shrink the instance")
     if debug:
         g1, _ = g.contract(contracted)
         _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
@@ -304,7 +326,6 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     # vertex, +1 if the edge enters the part there); an edge with both ends
     # at parts has both its ends here. Loops at the parts carry no excess,
     # only an f2 to check.
-    adj = gu.undirected_adj()
     ends = [(eid, v, 1 if gu.endpoints(eid)[1] == v else -1)
             for v in where for eid, _ in adj[v] if eid not in contracted]
     part_loops = [eid for eid, v in other_loops if v in where]
@@ -332,27 +353,17 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     _check(all(flow[eid][0] == 0 for eid in chain(at_root, at_parts)),
            "f2 support touches the root or the contracted path vertex")
 
-    # Stage 2: f2 = 1 on every part, and f3 on it by conservation. One BFS
-    # tree per part, from its smallest vertex with neighbours in ascending
-    # edge id (the order of ``adj``), is forced leaf-upward; every other
-    # part edge keeps f3 = 0.
+    # Stage 2: f2 = 1 on every part, and f3 on it by conservation, forced
+    # leaf-upward over the part's BFS tree; every other part edge keeps f3 = 0.
     flow.update(dict.fromkeys(contracted, (1, 0)))
-    for vs in vertex_sets:
-        start = min(vs)
-        seen = {start}
-        order = [(start, -1)]  # (vertex, edge to its parent), read as it grows
-        for v, _ in order:
-            for eid, w in adj[v]:
-                if eid in contracted and w not in seen:
-                    seen.add(w)
-                    order.append((w, eid))
-        for v, eid in reversed(order[1:]):
+    for tree in trees:
+        for v, eid in reversed(tree[1:]):
             t, h = g.endpoints(eid)
             val = (exc[v] if t == v else -exc[v]) % 3
             flow[eid] = (1, val)
             exc[h] += val
             exc[t] -= val
-        _check(exc[start] % 3 == 0, "contracted component has nonzero total excess")
+        _check(exc[tree[0][0]] % 3 == 0, "contracted component has nonzero total excess")
     _check(all(flow[eid][1] != 0 for eid in spokes), "a spoke edge lost its f3 value")
     return flow
 

@@ -128,6 +128,15 @@ class TestSolveCommand:
         assert main(["solve", str(gfile)]) == 2
         assert "bridge" in capsys.readouterr().err
 
+    def test_trace_on_a_cycle(self, tmp_path, capsys):
+        # G - 0 is the path 1-2-3-4: one cut step, then four two-vertex children
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(format_graph(Multigraph.build(5, [(i, (i + 1) % 5) for i in range(5)])))
+        assert main(["solve", str(gfile), "--root", "0", "--trace"]) == 0
+        assert capsys.readouterr().err.splitlines() == (
+            ["c CutStep(depth=0, blocks=4, bridges=3)"]
+            + ["c BaseStep(depth=1, loop_edges=2)"] * 4)
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         gfile = tmp_path / "g.nzf"
         gfile.write_text("p nzf nope\n")

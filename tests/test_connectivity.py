@@ -76,79 +76,64 @@ class TestIs2EdgeConnected:
         assert is_2_edge_connected(g)
 
 
-def partition(g, u):
-    return partition_at_bridge(g.delete_vertex(u), u)[0]
-
-
-def brute_force_partition_sizes(g, u):
-    """max(|V1|, |V2|) at each bridge of G - u: delete it and recount."""
-    gu = g.delete_vertex(u)
-    out = {}
-    for eid in brute_force_bridges(gu):
-        head = gu.endpoints(eid)[1]
-        pruned = Multigraph(gu.n, {k: v for k, v in gu.arcs() if k != eid})
-        k = len(next(c for c in components(pruned) if head in c))
-        out[eid] = max(k, gu.n - 1 - k)  # |V1| counts V - u, not u itself
-    return out
-
-
 class TestBridgePartition:
     def test_single_separating_edge(self):
-        # u=0, a=1, b=2: edges ua x2, ub x2, ab
+        # u=0, a=1, b=2: edges ua x2, ub x2, ab; a and b are blocks 1 and 2
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-        assert partition(g, 0) == (4, frozenset({1}), frozenset({2}))
+        assert partition_at_bridge(g.delete_vertex(0)) == ([0, 1, 2], [0, 1, 1])
 
-    def test_stray_component_joins_tail_side(self):
+    def test_stray_component_is_one_block(self):
         # u=0, a=1, b=2, c=3: edges ua, ub, ab, uc, uc
         g = Multigraph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-        eid, v1, v2 = partition(g, 0)
-        assert eid == 2
-        assert v1 == frozenset({1, 3}) and v2 == frozenset({2})
-        # the only G-u edge between the sides is the bridge
-        crossing = {
-            e.id
-            for e in g.edges()
-            if 0 not in (e.tail, e.head)
-            and (e.tail in v1) != (e.head in v1)
-        }
-        assert crossing == {eid}
+        assert partition_at_bridge(g.delete_vertex(0)) == ([0, 1, 2, 3], [0, 1, 1, 3])
 
-    def test_cycle_splits_in_the_middle(self):
-        # G - 0 is the path 1-2-...-8; its middle edge (4, 5) is edge 4
+    def test_cycle_splits_at_every_bridge(self):
+        # G - 0 is the path 1-2-...-8: every vertex is a block, and each
+        # block's parent is the one before it
         n = 9
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
-        assert partition(g, 0) == (4, frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
+        assert partition_at_bridge(g.delete_vertex(0)) == (list(range(n)), [0] + [1] * (n - 1))
 
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
             assert bridges(k4.delete_vertex(u)) == frozenset()
+            assert partition_at_bridge(k4.delete_vertex(u))[0] is None
+
+
+def _groups(labels):
+    """The vertices grouped by label, as a sorted list of sets."""
+    groups = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, set()).add(v)
+    return sorted(map(frozenset, groups.values()), key=min)
 
 
 def _check_partition(g, u):
     gu = g.delete_vertex(u)
-    cut, comp = partition_at_bridge(gu, u)
+    block, comp = partition_at_bridge(gu)
     # the labels group V(G - u) exactly as components() does, by smallest vertex
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(comp[v], set()).add(v)
-    assert [frozenset(c) for _, c in sorted(groups.items())] == components(gu)
-    assert all(min(c) == label for label, c in groups.items())
-    found = bridges(gu)
-    assert (cut is None) == (not found)
-    if cut is None:
+    assert _groups(comp) == components(gu)
+    assert all(comp[v] == min(c) for c in components(gu) for v in c)
+    cut = brute_force_bridges(gu)
+    assert (block is None) == (not cut)
+    if block is None:
         return
-    eid, v1, v2 = cut
-    assert eid in found
-    assert not v1 & v2 and v1 | v2 == set(range(g.n)) - {u}
-    assert g.endpoints(eid)[1] in v2
-    crossing = {
-        k for k, (t, h) in g.arcs() if u not in (t, h) and (t in v1) != (h in v1)
-    }
-    assert crossing == {eid}
-    sizes = brute_force_partition_sizes(g, u)
-    best = min(sizes.values())
-    assert max(len(v1), len(v2)) == sizes[eid] == best
-    assert eid == min(k for k, s in sizes.items() if s == best)
+    # the blocks are the components of G - u minus its bridges
+    pruned = Multigraph(g.n, {k: v for k, v in gu.arcs() if k not in cut})
+    assert _groups(block) == components(pruned)
+    # every block but the first of its component has exactly one bridge to
+    # a block with a smaller label
+    first = {}  # component label -> smallest block label in it
+    for v in range(g.n):
+        first[comp[v]] = min(first.get(comp[v], block[v]), block[v])
+    down = {}  # block label -> bridges to smaller labels
+    for eid in cut:
+        t, h = gu.endpoints(eid)
+        assert block[t] != block[h]
+        high = max(block[t], block[h])
+        down[high] = down.get(high, 0) + 1
+    for v in range(g.n):
+        assert down.get(block[v], 0) == (0 if block[v] == first[comp[v]] else 1)
 
 
 class TestPartitionProperties:

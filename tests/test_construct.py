@@ -22,7 +22,8 @@ from sixflow import (
     verify_rooted,
 )
 from sixflow import construct
-from sixflow.construct import BaseStep, BridgelessStep, ConstructionTrace, _solve_task
+from sixflow.construct import (
+    BaseStep, BridgelessStep, ConstructionTrace, CutStep, _solve_task)
 from sixflow.connectivity import partition_at_bridge
 from sixflow.testkit import (
     doubled_cycle,
@@ -75,13 +76,12 @@ class TestSolveSmall:
         assert f in enumerate_nz_flows(g)
 
     def test_empty_path_case(self):
-        # u joined twice to an otherwise isolated vertex: x == x'
+        # u joined twice to an otherwise isolated vertex: two vertices are
+        # the base case
         g = Multigraph.build(2, [(0, 1), (0, 1)])
         f, trace = solve(g, 0, debug=True)
         assert verify_rooted(g, 0, f)
-        step = trace.steps[0]
-        assert isinstance(step, BridgelessStep)
-        assert step.contracted_sizes == (0, 2)
+        assert trace.steps == [BaseStep(depth=0, loop_edges=2)]
         assert all(f[e][0] == 0 and f[e][1] != 0 for e in (0, 1))
 
     def test_petersen_all_roots(self, petersen):
@@ -120,7 +120,7 @@ class TestTraceShape:
 
     @pytest.mark.parametrize("u", [0, 1000])
     def test_cycle_depth_is_logarithmic(self, u):
-        # G - u is a path: every step is a cut step at its middle bridge
+        # G - u is a path: one cut step splits it at every bridge
         n = 2000
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
         f, trace = solve(g, u)
@@ -133,8 +133,8 @@ def check_parts(g, u):
     in G - u, free of u, disjoint from the others, and reached by at least
     two root edges; every component of G - u gets a part."""
     gu = g.delete_vertex(u)
-    cut, comp = partition_at_bridge(gu, u)
-    if cut is not None or g.n == 1:
+    block, comp = partition_at_bridge(gu)
+    if block is not None or g.n == 1:
         return
     root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
                   if (t == u) != (h == u)]
@@ -203,6 +203,14 @@ class TestScale:
         assert rooted
         assert seconds < 10, f"{seconds:.2f}s at depth {depth}"
         assert peak_mb < 300, f"{peak_mb:.0f} MB at depth {depth}"
+
+    def test_cycle_of_100000_vertices(self):
+        # G - u is a path of 99,999 blocks, all children of one cut step
+        n = 100_000
+        g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
+        f, trace = solve(g, 0)
+        assert trace.depth == 1
+        assert verify_rooted(g, 0, f)
 
     def test_grid_100_by_100(self):
         g = grid(100, 100)
@@ -313,6 +321,33 @@ class TestCutChecksFire:
     def test_zero_f3_on_the_bridge(self, triangle):
         assert after_children(triangle, {1: (0, 0)}, {1: (0, 0)}) == (
             "cut edge f3 values failed to align")
+
+
+class TestCutGluing:
+    """The cut step on three blocks, fed hand-made child flows.
+
+    G - 0 is the path 1-2-3 with bridges 1 = (1, 2) and 2 = (2, 3), so
+    each vertex is a block and the children come in the order 1, 2, 3.
+    The third child disagrees with the second on bridge 2.
+    """
+
+    ARCS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    CHILDREN = ({0: (0, 1), 1: (0, 1)},
+                {1: (0, 1), 2: (0, 2), 4: (0, 1)},
+                {2: (0, 1), 3: (0, 1)})
+
+    def test_last_child_negated(self):
+        g = Multigraph.build(4, self.ARCS)
+        trace = ConstructionTrace()
+        task = _solve_task(g, 0, 0, trace, False)
+        next(task)
+        with pytest.raises(StopIteration) as done:
+            for child in self.CHILDREN:
+                task.send(dict(child))
+        flow = done.value.value
+        assert trace.steps == [CutStep(depth=0, blocks=3, bridges=2)]
+        assert flow == {0: (0, 1), 1: (0, 1), 2: (0, 2), 3: (0, 2), 4: (0, 1)}
+        assert verify_rooted(g, 0, flow)
 
 
 class TestBridgelessExtension:
