@@ -11,14 +11,17 @@ lowpoint DFS (Tarjan 1974) that also lists the vertices in preorder and
 counts subtree sizes. Every DFS subtree is then an interval of the
 preorder, and a DFS root's interval is its whole component, so
 connectivity, the component of every vertex and the block of every vertex
-are read off that one pass. The recursion runs it once per step, on G - u
-in G's own vertex ids; ``components`` is a separate breadth-first pass
-that the recursion does not use.
+are read off that one pass. The recursion runs it once per step, on G
+itself with the root skipped: G - u is never copied, and every function
+that works on G - u reads G's own adjacency and ignores the entries that
+lead to u. ``components`` is a separate breadth-first pass that the
+recursion does not use.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Optional
 
 from .errors import StructuralError
@@ -47,7 +50,9 @@ def components(g: Multigraph) -> list[frozenset[int]]:
     return out
 
 
-def _lowpoint_dfs(g: Multigraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def _lowpoint_dfs(
+    g: Multigraph, skip: Optional[int] = None
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """One iterative lowpoint DFS over g, orientation ignored.
 
     Returns (order, size, cut). ``order`` lists the vertices in preorder.
@@ -55,6 +60,11 @@ def _lowpoint_dfs(g: Multigraph) -> tuple[list[int], list[int], list[tuple[int, 
     of that length starting at v; a DFS root's interval is its whole
     component. ``cut`` holds one (edge id, child) pair per bridge, the child
     being the bridge's endpoint farther from the root of its DFS tree.
+
+    With ``skip`` = u the DFS is one of G - u, read in place: u is its own
+    one-vertex tree, taken in its turn, and every edge at u is ignored.
+    G's adjacency lists are those of G - u with the entries at u mixed in,
+    in the same id order, so the result is the DFS of a copy of G - u.
 
     Skipping only the single entering edge (by id, not by endpoint pair)
     makes parallel edges behave as back edges, so no parallel edge is ever
@@ -67,9 +77,17 @@ def _lowpoint_dfs(g: Multigraph) -> tuple[list[int], list[int], list[tuple[int, 
     size = [0] * n
     order: list[int] = []
     cut: list[tuple[int, int]] = []
+    if skip is not None:
+        # Found, so never entered; above every preorder time, so never a
+        # back edge that lowers a lowpoint.
+        disc[skip] = n
     timer = 0
     for s in range(n):
         if disc[s] != -1:
+            if s == skip:
+                order.append(s)
+                size[s] = 1
+                timer += 1
             continue
         disc[s] = low[s] = timer
         timer += 1
@@ -130,47 +148,69 @@ def require_2_edge_connected(g: Multigraph) -> None:
         )
 
 
-def partition_at_bridge(gu: Multigraph) -> tuple[Optional[list[int]], list[int]]:
-    """Label the 2-edge-connected blocks and the components of ``gu`` = G - u.
+def partition_at_bridge(
+    g: Multigraph, u: int
+) -> tuple[Optional[list[int]], list[int], bool]:
+    """Label the 2-edge-connected blocks and the components of G - u, and
+    tell whether G itself is 2-edge-connected.
 
-    ``gu`` keeps G's vertex ids, with u isolated (``Multigraph.delete_vertex``).
-    Returns (block, comp). ``comp[v]`` labels v's component of G - u by its
-    smallest vertex; u is its own component. ``block`` is None when gu has
-    no bridge. Otherwise ``block[v]`` is the preorder position, in the
-    lowpoint DFS, of the first vertex of v's block: the component of v in gu
-    minus its bridges. A block's parent block, across the bridge nearer the
-    root of its DFS tree, has a smaller label.
+    G - u is read inside G, in G's vertex ids (``_lowpoint_dfs`` with
+    ``skip=u``). Returns (block, comp, whole). ``comp[v]`` labels v's
+    component of G - u by its smallest vertex; u is its own component.
+    ``block`` is None when G - u has no bridge. Otherwise ``block[v]`` is
+    the preorder position, in the lowpoint DFS, of the first vertex of v's
+    block: the component of v in G - u minus its bridges. A block's parent
+    block, across the bridge nearer the root of its DFS tree, has a smaller
+    label.
 
-    One pass over the preorder gives both, with a stack of open subtree
+    ``whole`` is True exactly when G is 2-edge-connected: every component
+    of G - u has at least two root edges (the non-loop edges at u), and
+    every bridge of G - u has root edges on both of its sides. Otherwise one
+    edge, or none, cuts a component or one side of a bridge off from u.
+
+    One pass over the preorder gives all three, with a stack of open subtree
     intervals: one opens at each DFS root and at each bridge's child, and a
     vertex takes its block from the innermost and its component from the
-    outermost.
+    outermost. The root edges into an interval are a difference of prefix
+    sums over the preorder.
     """
-    order, size, cut = _lowpoint_dfs(gu)
-    starts = [False] * gu.n  # v is a bridge's child
+    order, size, cut = _lowpoint_dfs(g, u)
+    starts = [False] * g.n  # v is a bridge's child
     for _, child in cut:
         starts[child] = True
-    comp = [0] * gu.n
-    block = [0] * gu.n
+    spokes = [0] * g.n  # root edges per vertex
+    for _, w in g.undirected_adj()[u]:
+        spokes[w] += 1
+    before = list(accumulate([spokes[v] for v in order], initial=0))  # at order[:i]
+    whole = True
+    comp = [0] * g.n
+    block = [0] * g.n
     intervals = []  # (end, label) of the subtree intervals that hold position i
     for i, v in enumerate(order):
         while intervals and intervals[-1][0] <= i:
             intervals.pop()
         if not intervals or starts[v]:
+            reach = before[i + size[v]] - before[i]
+            if not intervals:  # a component of G - u, or u itself
+                total = reach
+                whole = whole and (reach >= 2 or v == u)
+            else:  # a bridge's child side, within that component
+                whole = whole and 0 < reach < total
             intervals.append((i + size[v], i))
         comp[v] = order[intervals[0][1]]  # DFS roots come in increasing vertex order
         block[v] = intervals[-1][1]
-    return (block if cut else None), comp
+    return (block if cut else None), comp, whole
 
 
 def even_parts(
-    gu: Multigraph, comp: list[int], root_edges: list[tuple[int, int]]
+    g: Multigraph, u: int, comp: list[int], root_edges: list[tuple[int, int]]
 ) -> list[tuple[list[int], frozenset[int]]]:
     """Disjoint even, connected parts of G - u that two root edges reach.
 
-    ``gu`` is G - u in G's vertex ids, ``comp`` labels its components (as
-    ``partition_at_bridge`` returns them), and ``root_edges`` lists the
-    (edge id, far endpoint) of every non-loop edge at u, ascending by id.
+    G - u is read inside G, ignoring every adjacency entry that leads to u.
+    ``comp`` labels its components (as ``partition_at_bridge`` returns
+    them), and ``root_edges`` lists the (edge id, far endpoint) of every
+    non-loop edge at u, ascending by id.
     Returns (vertices, edges) per part: the vertices of a connected
     component K of C - J, for some component C of G - u, and the edges of
     C - J inside K. Every vertex has even degree in those edges (loops do
@@ -185,16 +225,18 @@ def even_parts(
     vertex still odd then toggles its parent tree edge in J, leaf-upward,
     which makes the root even as well. Every pass is linear in C.
     """
-    adj = gu.undirected_adj()
-    spokes = [0] * gu.n  # root edges per vertex
+    adj = g.undirected_adj()
+    spokes = [0] * g.n  # root edges per vertex
     first: dict[int, int] = {}  # component label -> far end of its first root edge
     for _, w in root_edges:
         spokes[w] += 1
         first.setdefault(comp[w], w)
-    odd = [len(a) % 2 == 1 for a in adj]
-    up = [-1] * gu.n  # BFS tree edge to the parent
-    seen = [False] * gu.n  # reached by the BFS
-    placed = [False] * gu.n  # given to a component of C - J
+    odd = [(len(a) - k) % 2 == 1 for a, k in zip(adj, spokes)]  # in G - u
+    odd[u] = False
+    up = [-1] * g.n  # BFS tree edge to the parent
+    seen = [False] * g.n  # reached by the BFS
+    placed = [False] * g.n  # given to a component of C - J
+    seen[u] = placed[u] = True  # so no walk enters u
     parts = []
     for s in first.values():
         seen[s] = True
@@ -217,7 +259,7 @@ def even_parts(
             if odd[v]:
                 eid = up[v]
                 j ^= {eid}
-                t, h = gu.endpoints(eid)
+                t, h = g.endpoints(eid)
                 odd[t] ^= True
                 odd[h] ^= True
         for r in order:
@@ -228,7 +270,7 @@ def even_parts(
             edges = set()
             for v in verts:
                 for eid, w in adj[v]:
-                    if eid not in j:
+                    if w != u and eid not in j:
                         edges.add(eid)
                         if not placed[w]:
                             placed[w] = True
@@ -238,11 +280,14 @@ def even_parts(
     return parts
 
 
-def two_edge_disjoint_paths(g: Multigraph, x: int, y: int) -> frozenset[int]:
+def two_edge_disjoint_paths(
+    g: Multigraph, x: int, y: int, skip: Optional[int] = None
+) -> frozenset[int]:
     """The edges of two edge-disjoint x-y paths, as one set of edge ids.
 
-    Orientation is ignored. The set is connected, holds x and y, and gives
-    every vertex even degree; it is empty when x == y. Raises
+    Orientation is ignored. With ``skip`` = u the paths are those of G - u,
+    read inside G: no search enters u. The set is connected, holds x and y,
+    and gives every vertex even degree; it is empty when x == y. Raises
     StructuralError when no two edge-disjoint paths exist.
 
     Unit-capacity augmenting-path search: each edge is usable once in either
@@ -259,6 +304,8 @@ def two_edge_disjoint_paths(g: Multigraph, x: int, y: int) -> frozenset[int]:
 
     def augment() -> bool:
         prev: dict[int, tuple[int, int, int]] = {x: (-1, -1, 0)}
+        if skip is not None:
+            prev[skip] = (-1, -1, 0)  # seen already, so never entered
         queue = deque([x])
         while queue:
             v = queue.popleft()

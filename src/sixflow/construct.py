@@ -22,21 +22,27 @@ vertices. Otherwise two cases:
   and even at every vertex; a component with no such part falls back to
   the union of two edge-disjoint paths between the far ends of its first
   two root edges. Contract every part together with its root edges (its
-  spokes) in one contraction, solve, and extend back in two stages, part
-  by part. One pass over the child's edges at the parts gives the f3
-  excess at each part vertex, and each part's spokes get nonzero f3 that
-  cancels the part's total. Then f3 on the part follows by conservation,
-  forced leaf-upward over one BFS tree of it, and f2 = 1 on the whole part
-  (every vertex has even degree in it, so mod-2 conservation survives).
+  spokes), all at once, building the child straight from the parts in one
+  pass over the edges; solve, and extend back in two stages, part by part.
+  One pass over the child's edges at the parts gives the f3 excess at each
+  part vertex, and each part's spokes get nonzero f3 that cancels the
+  part's total. Then f3 on the part follows by conservation, forced
+  leaf-upward over one BFS tree of it, and f2 = 1 on the whole part (every
+  vertex has even degree in it, so mod-2 conservation survives).
   The extension and its checks read only the edges at the root and at the
   parts. On ear graphs, grids and doubled cycles a part swallows most of
   its component, so the recursion is a few levels deep.
 
-Each step reads G - root once: ``delete_vertex`` keeps G's vertex ids
-(the root stays as an isolated vertex, so nothing is renumbered), and one
-lowpoint DFS of it, ``partition_at_bridge``, picks the case. It gives the
-block of each vertex when there are bridges, and the component of each
-vertex, over which the bridgeless case counts the root edges.
+Each step reads G - root inside G, with no copy and no renumbering: one
+lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the
+case. It gives the block of each vertex when there are bridges, and the
+component of each vertex, over which the bridgeless case counts the root
+edges, which are the root's adjacency list. The root step's DFS also
+checks the input: G is 2-edge-connected exactly when every component of
+G - root has two root edges and every bridge of G - root has root edges
+on both of its sides. So a valid input costs no search of its own, and
+only a rejected one is searched again, for the error to name a bridge or
+a component.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -114,12 +120,16 @@ def solve(
     for 2-edge-connectivity.
     """
     g._check_vertex(u)
-    require_2_edge_connected(g)
+    # The root step's one DFS also tells whether g is 2-edge-connected; only
+    # a rejected graph is searched again, for the error to name what is wrong.
+    labels = partition_at_bridge(g, u) if g.n > 2 else None
+    if labels is None or not labels[2]:
+        require_2_edge_connected(g)
     trace = ConstructionTrace()
 
     # Trampoline: each task is a generator that yields subinstances and
     # receives their flows back, so recursion depth costs no call stack.
-    stack = [_solve_task(g, u, 0, trace, debug)]
+    stack = [_solve_task(g, u, 0, trace, debug, labels)]
     result: Optional[GroupFlow] = None
     while stack:
         try:
@@ -134,16 +144,17 @@ def solve(
     return result, trace
 
 
-def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
+def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool, labels=None):
+    """Solve one instance; ``labels`` is ``partition_at_bridge(g, u)`` when
+    the caller has computed it already."""
     if g.n <= 2:
         flow = _two_vertices(g, depth, trace)
     else:
-        gu = g.delete_vertex(u)
-        block, comp = partition_at_bridge(gu)
+        block, comp, _ = labels or partition_at_bridge(g, u)
         if block is not None:
             flow = yield from _cut_case(g, u, block, depth, trace, debug)
         else:
-            flow = yield from _bridgeless_case(g, u, gu, comp, depth, trace, debug)
+            flow = yield from _bridgeless_case(g, u, comp, depth, trace, debug)
     if debug:
         _check(verify_rooted(g, u, flow), f"flow fails the rooted check at depth {depth}")
     return flow
@@ -209,7 +220,7 @@ def _cut_case(g, u, block, depth, trace, debug):
     return flow
 
 
-def _choose_parts(gu, comp, root_edges):
+def _choose_parts(g, u, comp, root_edges):
     """The parts one bridgeless step contracts, and how many are fallbacks.
 
     ``even_parts`` gives the even parts of each component of G - u. A
@@ -218,47 +229,40 @@ def _choose_parts(gu, comp, root_edges):
     Every part is (vertices, edges); a fallback lists only those two ends
     and its edges.
     """
-    parts = even_parts(gu, comp, root_edges)
+    parts = even_parts(g, u, comp, root_edges)
     covered = {comp[verts[0]] for verts, _ in parts}
     pairs: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
     for _, w in root_edges:
         if comp[w] not in covered:
             pairs.setdefault(comp[w], []).append(w)
     for x, x2, *_ in pairs.values():
-        parts.append(([x, x2], two_edge_disjoint_paths(gu, x, x2)))
+        parts.append(([x, x2], two_edge_disjoint_paths(g, x, x2, skip=u)))
     return parts, len(pairs)
 
 
-def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
+def _bridgeless_case(g, u, comp, depth, trace, debug):
     """Contract every part (``_choose_parts``) together with its spokes, the
-    root edges into it, in one contraction, solve the smaller instance, then
-    extend back part by part.
+    root edges into it, solve the smaller instance, then extend back part by
+    part.
 
-    ``gu`` is G - u in G's vertex ids and ``comp`` labels its components,
-    both from the step's one DFS. The parts are disjoint, connected, free of
-    u, even at every vertex, and reached by at least two spokes each; the
-    always-on checks below hold the chooser to that. Besides the chooser,
-    one scan of G's edges finds the root edges and the loops, and one
-    contraction builds the child instance, in which every part and u are
-    one vertex, the child's root. Every other pass reads only the edges at u
-    and at the parts' vertices, since the extension changes no value
-    elsewhere: before the child is solved, the ends at the parts of the
-    edges it keeps are listed once; after it, one pass over them gives each
-    part vertex's f3 excess, which the spokes' values and then the tree walk
-    over each part cancel.
+    ``comp`` labels the components of G - u, from the step's one DFS; G - u
+    itself is read inside G's adjacency, skipping u. The parts are disjoint,
+    connected, free of u, even at every vertex, and reached by at least two
+    spokes each; the always-on checks below hold the chooser to that. The
+    root edges are u's adjacency list, one pass over G's edges finds the
+    loops, and one more builds the child instance, in which every part and
+    u are one vertex, the child's root. Every other pass reads only the
+    edges at u and at the parts' vertices, since the extension changes no
+    value elsewhere: before the child is solved, the ends at the parts of
+    the edges it keeps are listed once; after it, one pass over them gives
+    each part vertex's f3 excess, which the spokes' values and then the
+    tree walk over each part cancel.
     The intermediate graph G/parts is built only in debug mode, to re-verify it.
     """
-    root_edges = []  # (edge id, far endpoint) for non-loop edges at u, ascending id
-    root_loops = []
-    other_loops = []  # (edge id, vertex) for loops away from u
-    for eid, (t, h) in g.arcs():
-        if t == h:
-            if t == u:
-                root_loops.append(eid)
-            else:
-                other_loops.append((eid, t))
-        elif t == u or h == u:
-            root_edges.append((eid, h if t == u else t))
+    adj = g.undirected_adj()
+    root_edges = adj[u]  # (edge id, far endpoint) for non-loop edges at u, ascending id
+    loops = [(eid, t) for eid, (t, h) in g.arcs() if t == h]
+    root_loops = [eid for eid, v in loops if v == u]
     spokes_per_comp = [0] * g.n  # indexed by component label
     for eid, w in root_edges:
         spokes_per_comp[comp[w]] += 1
@@ -266,8 +270,7 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
         spokes_per_comp[v] >= 2 for v in range(g.n) if comp[v] == v != u),
         "a component of G - root has fewer than two edges to the root")
 
-    parts, fallbacks = _choose_parts(gu, comp, root_edges)
-    adj = gu.undirected_adj()
+    parts, fallbacks = _choose_parts(g, u, comp, root_edges)
     vertex_sets = []
     trees = []  # per part, its BFS tree as (vertex, edge to its parent) in BFS order
     where = {}  # part vertex -> index of its part
@@ -308,12 +311,21 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
            "fewer than two root edges reach the path union")
     spokes = frozenset(eid for ends in spoke_ends for eid, _, _ in ends)
 
-    # G/parts/spokes in one contraction: same vertex numbering and edge order
-    # as contracting the parts first and the spokes second.
-    g2, image2 = g.contract(contracted | spokes)
-    u2 = image2[u]
+    # G/parts/spokes, numbered as ``contract`` numbers it: u and every part
+    # vertex are one vertex, the child's root, at the place of the smallest
+    # of them, and every other vertex keeps its order.
+    merged = {u, *where}
+    u2 = min(merged)
+    kept = [v for v in range(g.n) if v not in merged]
+    image = [u2] * g.n
+    for i, v in enumerate(kept):
+        image[v] = i + (v > u2)
+    removed = contracted | spokes
+    g2 = Multigraph(len(kept) + 1, {eid: (image[t], image[h])
+                                    for eid, (t, h) in g.arcs() if eid not in removed})
     if debug:
         g1, _ = g.contract(contracted)
+        _check(g2 == g.contract(removed)[0], "bridgeless child differs from the contraction")
         _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
                "bridgeless-case contraction broke 2-edge-connectivity")
     trace.steps.append(BridgelessStep(
@@ -326,9 +338,9 @@ def _bridgeless_case(g, u, gu, comp, depth, trace, debug):
     # vertex, +1 if the edge enters the part there); an edge with both ends
     # at parts has both its ends here. Loops at the parts carry no excess,
     # only an f2 to check.
-    ends = [(eid, v, 1 if gu.endpoints(eid)[1] == v else -1)
-            for v in where for eid, _ in adj[v] if eid not in contracted]
-    part_loops = [eid for eid, v in other_loops if v in where]
+    ends = [(eid, v, 1 if g.endpoints(eid)[1] == v else -1)
+            for v in where for eid, w in adj[v] if w != u and eid not in contracted]
+    part_loops = [eid for eid, v in loops if v in where]
 
     flow = yield _solve_task(g2, u2, depth + 1, trace, debug)
 

@@ -93,12 +93,16 @@ class Multigraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def merge_image(self, s: Iterable[int]) -> list[int]:
-        """Vertex image of contracting the edge set S, by union-find.
+    def contract(self, s: Iterable[int]) -> tuple["Multigraph", list[int]]:
+        """Contract the edge set S, keeping surviving edge ids and orientations.
 
-        ``image[v]`` is v's connected component of the spanning subgraph
-        (V, S); components are numbered 0, 1, ... by smallest member.
+        One result vertex per connected component of the spanning subgraph
+        (V, S), found by union-find and numbered 0, 1, ... by smallest
+        member. Edges whose remapped endpoints coincide become loops and are
+        kept. Returns G/S and the vertex image: ``image[v]`` is the vertex
+        of G/S that v was merged into.
         """
+        s = frozenset(s)
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -121,24 +125,12 @@ class Multigraph:
         assigned: dict[int, int] = {}
         for v in range(self.n):
             image[v] = assigned.setdefault(find(v), len(assigned))
-        return image
-
-    def contract(self, s: Iterable[int]) -> tuple["Multigraph", list[int]]:
-        """Contract the edge set S, keeping surviving edge ids and orientations.
-
-        One result vertex per connected component of the spanning subgraph
-        (V, S), numbered as in ``merge_image``. Edges whose remapped
-        endpoints coincide become loops and are kept. Returns G/S and the
-        vertex image: ``image[v]`` is the vertex of G/S that v was merged into.
-        """
-        s = frozenset(s)
-        image = self.merge_image(s)
         edges = {
             eid: (image[t], image[h])
             for eid, (t, h) in self._edges.items()
             if eid not in s
         }
-        return Multigraph(max(image, default=-1) + 1, edges), image
+        return Multigraph(len(assigned), edges), image
 
     def reverse_edge(self, eid: int) -> "Multigraph":
         """Swap tail and head of one edge."""

@@ -64,7 +64,7 @@ def group_flow_to_integer_flow(
     # its head to its tail; ids ascend, so each list starts out a heap.
     ahead: list[dict[int, list[int]]] = [{} for _ in range(n)]
     first: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (t, h) in sorted(g.arcs()):
+    for eid, (t, h) in g.arcs():
         if t == h:
             continue
         edges = ahead[h].get(t)

@@ -80,24 +80,24 @@ class TestBridgePartition:
     def test_single_separating_edge(self):
         # u=0, a=1, b=2: edges ua x2, ub x2, ab; a and b are blocks 1 and 2
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-        assert partition_at_bridge(g.delete_vertex(0)) == ([0, 1, 2], [0, 1, 1])
+        assert partition_at_bridge(g, 0) == ([0, 1, 2], [0, 1, 1], True)
 
     def test_stray_component_is_one_block(self):
         # u=0, a=1, b=2, c=3: edges ua, ub, ab, uc, uc
         g = Multigraph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-        assert partition_at_bridge(g.delete_vertex(0)) == ([0, 1, 2, 3], [0, 1, 1, 3])
+        assert partition_at_bridge(g, 0) == ([0, 1, 2, 3], [0, 1, 1, 3], True)
 
     def test_cycle_splits_at_every_bridge(self):
         # G - 0 is the path 1-2-...-8: every vertex is a block, and each
         # block's parent is the one before it
         n = 9
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
-        assert partition_at_bridge(g.delete_vertex(0)) == (list(range(n)), [0] + [1] * (n - 1))
+        assert partition_at_bridge(g, 0) == (list(range(n)), [0] + [1] * (n - 1), True)
 
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
             assert bridges(k4.delete_vertex(u)) == frozenset()
-            assert partition_at_bridge(k4.delete_vertex(u))[0] is None
+            assert partition_at_bridge(k4, u)[0] is None
 
 
 def _groups(labels):
@@ -110,7 +110,8 @@ def _groups(labels):
 
 def _check_partition(g, u):
     gu = g.delete_vertex(u)
-    block, comp = partition_at_bridge(gu)
+    block, comp, whole = partition_at_bridge(g, u)
+    assert whole == is_2_edge_connected(g)
     # the labels group V(G - u) exactly as components() does, by smallest vertex
     assert _groups(comp) == components(gu)
     assert all(comp[v] == min(c) for c in components(gu) for v in c)

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,17 +20,22 @@ from sixflow import (
     verify_nowhere_zero,
     verify_rooted,
 )
-from sixflow import construct
+from sixflow import connectivity, construct
 from sixflow.construct import (
     BaseStep, BridgelessStep, ConstructionTrace, CutStep, _solve_task)
-from sixflow.connectivity import partition_at_bridge
+from sixflow.connectivity import (
+    is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
 from sixflow.testkit import (
+    cycle,
     doubled_cycle,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
     grid,
+    petersen,
     random_2ec_multigraph,
 )
+
+from conftest import small_graphs
 
 
 class TestSolveSmall:
@@ -106,7 +110,7 @@ class TestTraceShape:
         # doubled cycle with every component on the path-union fallback: one
         # vertex merged per step, depth beyond the interpreter's default
         # recursion limit
-        monkeypatch.setattr(construct, "even_parts", lambda gu, comp, root_edges: [])
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
         g = doubled_cycle(1200)
         f, trace = solve(g, 0)
         assert trace.depth > 1000
@@ -119,12 +123,13 @@ class TestTraceShape:
         assert verify_rooted(g, 0, f)
 
     @pytest.mark.parametrize("u", [0, 1000])
-    def test_cycle_depth_is_logarithmic(self, u):
-        # G - u is a path: one cut step splits it at every bridge
+    def test_cycle_is_one_cut_step(self, u):
+        # G - u is a path: one cut step splits it at every bridge, and every
+        # child has two vertices
         n = 2000
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
         f, trace = solve(g, u)
-        assert trace.depth <= 2 * math.ceil(math.log2(n))
+        assert trace.depth == 1
         assert verify_rooted(g, u, f)
 
 
@@ -132,19 +137,18 @@ def check_parts(g, u):
     """Every part one bridgeless step at u would contract is even, connected
     in G - u, free of u, disjoint from the others, and reached by at least
     two root edges; every component of G - u gets a part."""
-    gu = g.delete_vertex(u)
-    block, comp = partition_at_bridge(gu)
+    block, comp, _ = partition_at_bridge(g, u)
     if block is not None or g.n == 1:
         return
     root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
                   if (t == u) != (h == u)]
-    parts, _ = construct._choose_parts(gu, comp, root_edges)
+    parts, _ = construct._choose_parts(g, u, comp, root_edges)
     taken = set()
     for verts, edges in parts:
         deg = dict.fromkeys(verts, 0)
         reach = {v: {v} for v in verts}  # vertex -> its piece, merged along edges
         for eid in edges:
-            t, h = gu.endpoints(eid)
+            t, h = g.endpoints(eid)
             assert t != h and u not in (t, h)
             deg[t] = deg.get(t, 0) + 1
             deg[h] = deg.get(h, 0) + 1
@@ -249,7 +253,7 @@ class TestBridgelessChecksFire:
     @staticmethod
     def inject(monkeypatch, *parts):
         # the chooser returns the given parts, each (vertices, edges)
-        monkeypatch.setattr(construct, "even_parts", lambda gu, comp, root_edges: [
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [
             (verts, frozenset(edges)) for verts, edges in parts])
 
     # On K4 at root 0, G - 0 is the triangle 1, 2, 3 (edges 3 = (1, 2),
@@ -264,7 +268,7 @@ class TestBridgelessChecksFire:
         # no part, so the triangle falls back to the path union from 1 to 2
         self.inject(monkeypatch)
         monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda gu, x, y: frozenset({3, 4}))
+                            lambda g, x, y, skip: frozenset({3, 4}))
         assert self.first_step(k4) == "path union has a vertex of odd degree"
 
     def test_part_at_the_root(self, k4, monkeypatch):
@@ -457,3 +461,85 @@ def test_solve_random_graphs_debug_checked(n, ears, seed, data):
     assert verify_rooted(g, u, f)
     assert verify_nowhere_zero(g, f)
     assert trace.depth <= g.n
+
+
+class TestInputCheck:
+    """``solve`` reads 2-edge-connectivity off the root step's one DFS, and
+    rejects exactly what ``require_2_edge_connected`` rejects, with its error."""
+
+    @staticmethod
+    def check(g, u):
+        try:
+            require_2_edge_connected(g)
+        except StructuralError as exc:
+            expected = exc
+        else:
+            expected = None
+        assert (expected is None) == is_2_edge_connected(g)
+        if expected is None:
+            f, _ = solve(g, u)
+            assert verify_rooted(g, u, f)
+            return
+        with pytest.raises(StructuralError) as got:
+            solve(g, u)
+        assert str(got.value) == str(expected)
+        assert got.value.bridge == expected.bridge
+        assert got.value.component == expected.component
+
+    def test_small_graphs_every_root(self):
+        rejected = 0
+        for g in small_graphs(4, 5):
+            for u in g.vertices():
+                self.check(g, u)
+            rejected += not is_2_edge_connected(g)
+        assert rejected > 1000
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 15), st.integers(0, 10 ** 6), st.data())
+    def test_ear_graphs_less_one_edge(self, n, ears, seed, data):
+        g = random_2ec_multigraph(n, ears, seed)
+        gone = data.draw(st.sampled_from(sorted(g.edge_ids)))
+        g = Multigraph(g.n, {eid: ends for eid, ends in g.arcs() if eid != gone})
+        for u in g.vertices():
+            self.check(g, u)
+
+
+class TestOneSearchPerStep:
+    """A valid solve runs one lowpoint DFS per instance of three or more
+    vertices, the root's included, and never copies G - u."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        real = connectivity._lowpoint_dfs
+
+        def counting(g, skip=None):
+            calls.append(skip)
+            return real(g, skip)
+
+        def no_copy(g, u):
+            raise AssertionError("G - u was copied")
+
+        monkeypatch.setattr(connectivity, "_lowpoint_dfs", counting)
+        monkeypatch.setattr(Multigraph, "delete_vertex", no_copy)
+        return calls
+
+    @staticmethod
+    def steps(g, u, calls):
+        calls.clear()
+        f, trace = solve(g, u)
+        assert verify_rooted(g, u, f)
+        assert None not in calls  # every search skips its instance's root
+        return sum(not isinstance(step, BaseStep) for step in trace.steps)
+
+    def test_every_family(self, searches):
+        graphs = [cycle(40), doubled_cycle(30), grid(7, 7), petersen(),
+                  random_2ec_multigraph(400, 200, 5), random_2ec_multigraph(60, 500, 9)]
+        for g in graphs:
+            for u in (0, g.n // 2):
+                assert self.steps(g, u, searches) == len(searches) > 0
+
+    def test_path_union_fallback(self, searches, monkeypatch):
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
+        g = doubled_cycle(30)
+        assert self.steps(g, 0, searches) == len(searches) == 28

@@ -79,7 +79,7 @@ class TestContract:
             for r in range(len(ids) + 1):
                 for s in itertools.combinations(ids, r):
                     h, img = g.contract(s)
-                    assert img == g.merge_image(s) == brute_force_image(g, s)
+                    assert img == brute_force_image(g, s)
                     assert h.m == g.m - len(s)
                     for eid in h.edge_ids:
                         t, hd = g.endpoints(eid)

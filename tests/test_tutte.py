@@ -15,8 +15,10 @@ from sixflow import (
     verify_k_flow,
     z6_to_pair,
 )
+from sixflow import construct
+from sixflow.construct import BridgelessStep, CutStep
 from sixflow.flows import pair_add
-from sixflow.testkit import random_2ec_multigraph
+from sixflow.testkit import cycle, grid, random_2ec_multigraph
 
 
 class TestIsomorphism:
@@ -247,3 +249,28 @@ def test_rounds_read_neighbours_not_parallel_edges():
     rounds = stats["augmentation_rounds"]
     assert rounds == 5 * k // 6
     assert stats["edges_scanned"] <= 2 * (g.m + rounds * g.n)
+
+
+def test_every_graph_lists_edges_by_ascending_id(monkeypatch):
+    # The conversion starts each per-neighbour list as a heap because the
+    # edges come in ascending id, so every way of making a graph must keep
+    # that order: build, contract, and both kinds of child the solver makes.
+    instances = []
+    real = construct._solve_task
+
+    def recording(g, *args):
+        instances.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(construct, "_solve_task", recording)
+    kinds = set()
+    for g in (cycle(30), grid(6, 6), random_2ec_multigraph(300, 150, 3)):
+        _, trace = solve(g, 0)
+        kinds |= {type(step) for step in trace.steps}
+        instances.append(g.contract([eid for eid, (t, h) in g.arcs() if (t + h) % 3 == 0])[0])
+    assert {CutStep, BridgelessStep} <= kinds
+    children = [g for g in instances if g.m > 0]
+    assert len(children) > 40
+    for g in children:
+        ids = list(g.edge_ids)
+        assert ids == sorted(ids)
