@@ -7,8 +7,11 @@ from sixflow import (
     GuardError,
     InputError,
     Multigraph,
+    group_flow_to_integer_flow,
+    group_flow_to_z6,
     is_2_edge_connected,
     solve,
+    verify_k_flow,
     verify_nowhere_zero,
     verify_rooted,
 )
@@ -208,3 +211,16 @@ class TestFamilies:
             flow, trace = solve(g, u)
             assert verify_rooted(g, u, flow)
             assert solve(g, u) == (flow, trace)
+            phi = group_flow_to_z6(flow)
+            stats = {}
+            f = group_flow_to_integer_flow(g, phi, stats)
+            assert verify_k_flow(g, f, 6)
+            assert all(f[e] % 6 == phi[e] for e in g.edge_ids)
+            assert group_flow_to_integer_flow(g, phi) == f
+            # each round cancels six units of the lift's positive excess
+            exc = [0] * g.n
+            for eid, (t, h) in g.arcs():
+                if t != h:
+                    exc[h] += phi[eid]
+                    exc[t] -= phi[eid]
+            assert stats["augmentation_rounds"] * 6 == sum(x for x in exc if x > 0)

@@ -84,6 +84,32 @@ class TestIntegerConversion:
         g = Multigraph.build(1, [(0, 0), (0, 0)])
         assert group_flow_to_integer_flow(g, {0: 4, 1: 5}) == {0: 4, 1: 5}
 
+    def test_holds_exactly_the_graphs_edges(self, digon):
+        assert group_flow_to_integer_flow(digon, {0: 2, 1: 2, 99: 3}) == {0: 2, 1: 2}
+
+    @pytest.mark.parametrize("arcs, phi, message", [
+        ([(0, 1), (1, 0)], {0: 1}, "flow is missing a value for edge 1"),
+        ([(0, 1), (1, 0)], {0: 6, 1: 0}, "edge 0: value 6 is not a nonzero Z6 element"),
+        ([(0, 1), (1, 0)], {0: 1, 1: 2},
+         "input is not a Z6-flow: conservation fails at vertex 0"),
+        # the first failing edge by id is named, whichever check it fails
+        ([(0, 1), (1, 2), (2, 0), (0, 2)], {0: 1, 2: 0, 3: 1},
+         "flow is missing a value for edge 1"),
+        ([(0, 1), (1, 2), (2, 0), (0, 2)], {0: 7, 1: 1, 2: 1},
+         "edge 0: value 7 is not a nonzero Z6 element"),
+        # edge values are checked before conservation, which names the
+        # smallest failing vertex
+        ([(2, 1), (1, 2), (0, 0), (1, 0), (0, 1)], {0: 2, 1: 1, 2: 6, 3: 1, 4: 1},
+         "edge 2: value 6 is not a nonzero Z6 element"),
+        ([(2, 1), (1, 2), (0, 0), (1, 0), (0, 1)], {0: 2, 1: 1, 2: 5, 3: 1, 4: 1},
+         "input is not a Z6-flow: conservation fails at vertex 1"),
+    ])
+    def test_input_check_order_and_words(self, arcs, phi, message):
+        g = Multigraph.build(3, arcs)
+        with pytest.raises(InputError) as err:
+            group_flow_to_integer_flow(g, phi)
+        assert str(err.value) == message
+
     def test_rejects_non_flow(self):
         g = Multigraph.build(2, [(0, 1), (1, 0)])
         with pytest.raises(InputError):
@@ -120,8 +146,10 @@ def test_end_to_end_random(n, ears, seed):
 def reference_integer_flow(g, phi):
     """The conversion as a search that scans every edge at a vertex by id.
 
-    Returns (f, rounds). The conversion under test must take the same paths,
-    so it must return the same flow after the same number of rounds.
+    Returns (f, rounds). Every conversion shifts from the smallest positive
+    vertex until none is left, so the one under test must take the same
+    number of rounds, though it may enter a neighbour through another edge
+    and so return another flow.
     """
     f = dict(phi)
     exc = [0] * g.n
@@ -174,9 +202,11 @@ def reference_integer_flow(g, phi):
 def assert_matches_reference(g, phi):
     stats = {}
     f = group_flow_to_integer_flow(g, phi, stats)
-    assert (f, stats["augmentation_rounds"]) == reference_integer_flow(g, phi)
-    assert verify_k_flow(g, f, 6)
-    assert all(f[e] % 6 == phi[e] for e in g.edge_ids)
+    ref, rounds = reference_integer_flow(g, phi)
+    assert stats["augmentation_rounds"] == rounds
+    for flow in (f, ref):
+        assert verify_k_flow(g, flow, 6)
+        assert all(flow[e] % 6 == phi[e] for e in g.edge_ids)
     return stats
 
 
@@ -219,11 +249,10 @@ class TestSameRoundsAsEdgeScan:
     def test_edge_shifted_below_the_smallest_of_its_pair(self):
         # Round 1 shifts edge 0 from 0 to 2, so edges 0 and 3 are both
         # shiftable from 2 to 0. Round 2 (source 1) enters 0 from 2 through
-        # edge 0, the smaller of the two, on its way to the deficit at 3.
+        # one of them on its way to the deficit at 3.
         g = Multigraph.build(4, [(2, 0), (2, 1), (3, 0), (0, 2), (2, 1), (3, 0)])
         phi = {0: 3, 1: 4, 2: 3, 3: 3, 4: 2, 5: 3}
         stats = assert_matches_reference(g, phi)
-        assert group_flow_to_integer_flow(g, phi) == {0: 3, 1: -2, 2: -3, 3: 3, 4: 2, 5: 3}
         assert stats["augmentation_rounds"] == 2
 
     @pytest.mark.parametrize("seed", [7, 11])
@@ -252,9 +281,10 @@ def test_rounds_read_neighbours_not_parallel_edges():
 
 
 def test_every_graph_lists_edges_by_ascending_id(monkeypatch):
-    # The conversion starts each per-neighbour list as a heap because the
-    # edges come in ascending id, so every way of making a graph must keep
-    # that order: build, contract, and both kinds of child the solver makes.
+    # Connectivity breaks its ties by smallest edge id, reading the edges in
+    # the order the graph lists them, so every way of making a graph must
+    # keep ids ascending: build, contract, and both kinds of child the solver
+    # makes.
     instances = []
     real = construct._solve_task
 
