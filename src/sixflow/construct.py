@@ -24,25 +24,27 @@ vertices. Otherwise two cases:
   two root edges. Contract every part together with its root edges (its
   spokes), all at once, building the child straight from the parts in one
   pass over the edges; solve, and extend back in two stages, part by part.
-  One pass over the child's edges at the parts gives the f3 excess at each
-  part vertex, and each part's spokes get nonzero f3 that cancels the
-  part's total. Then f3 on the part follows by conservation, forced
-  leaf-upward over one BFS tree of it, and f2 = 1 on the whole part (every
-  vertex has even degree in it, so mod-2 conservation survives).
-  The extension and its checks read only the edges at the root and at the
-  parts. On ear graphs, grids and doubled cycles a part swallows most of
-  its component, so the recursion is a few levels deep.
+  The child's edges at the parts give the f3 excess at each part vertex,
+  and each part's spokes get nonzero f3 that cancels the part's total.
+  Then f3 on the part follows by conservation, forced leaf-upward over one
+  BFS tree of it, and f2 = 1 on the whole part (every vertex has even
+  degree in it, so mod-2 conservation survives). The extension changes
+  only the edges at the root and at the parts. On ear graphs, grids and
+  doubled cycles a part swallows most of its component, so the recursion
+  is a few levels deep.
 
 Each step reads G - root inside G, with no copy and no renumbering: one
 lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the
 case. It gives the block of each vertex when there are bridges, and the
-component of each vertex, over which the bridgeless case counts the root
-edges, which are the root's adjacency list. The root step's DFS also
-checks the input: G is 2-edge-connected exactly when every component of
-G - root has two root edges and every bridge of G - root has root edges
-on both of its sides. So a valid input costs no search of its own, and
-only a rejected one is searched again, for the error to name a bridge or
-a component.
+component of each vertex. The same DFS checks the instance: G is
+2-edge-connected exactly when every component of G - root has two root
+edges and every bridge of G - root has root edges on both of its sides.
+The recursion is valid only on 2-edge-connected instances, and a
+contraction of one is again one, so this is the one always-on check of
+it, made at every step; an instance of two vertices reads it off its
+parallel class. At the root a failed check means bad input, and only
+then is G searched again, for the error to name a bridge or a component;
+below the root it is an internal fault.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -51,14 +53,12 @@ only by memory, never by the interpreter call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .connectivity import (
     bridges,  # not called here; perfbench/spans.py patches it by this name
     components,  # not called here either; patched by name the same way
     even_parts,
-    is_2_edge_connected,
     partition_at_bridge,
     require_2_edge_connected,
     two_edge_disjoint_paths,
@@ -115,21 +115,16 @@ def solve(
     """Construct a nowhere-zero Z2 x Z3 flow on g with f2 = 0 across delta(u).
 
     Deterministic in (g, u). Raises StructuralError naming a bridge or a
-    disconnection when g is not 2-edge-connected. With debug=True every
-    intermediate flow is re-verified and every recursed instance is checked
-    for 2-edge-connectivity.
+    disconnection when g is not 2-edge-connected. Every recursed instance is
+    checked for 2-edge-connectivity too, always, off the DFS its step runs
+    anyway. With debug=True every intermediate flow is re-verified.
     """
     g._check_vertex(u)
-    # The root step's one DFS also tells whether g is 2-edge-connected; only
-    # a rejected graph is searched again, for the error to name what is wrong.
-    labels = partition_at_bridge(g, u) if g.n > 2 else None
-    if labels is None or not labels[2]:
-        require_2_edge_connected(g)
     trace = ConstructionTrace()
 
     # Trampoline: each task is a generator that yields subinstances and
     # receives their flows back, so recursion depth costs no call stack.
-    stack = [_solve_task(g, u, 0, trace, debug, labels)]
+    stack = [_solve_task(g, u, 0, trace, debug)]
     result: Optional[GroupFlow] = None
     while stack:
         try:
@@ -144,17 +139,24 @@ def solve(
     return result, trace
 
 
-def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool, labels=None):
-    """Solve one instance; ``labels`` is ``partition_at_bridge(g, u)`` when
-    the caller has computed it already."""
+def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
+    """Solve one instance once it is known to be 2-edge-connected: at the
+    root a graph that is not is bad input, below it an internal fault."""
+    if g.n > 2:
+        block, comp, whole = partition_at_bridge(g, u)
+    else:  # G - u is one vertex or none, its root edges one parallel class
+        whole = g.n == 1 or sum(t != h for _, (t, h) in g.arcs()) >= 2
+    if not whole:
+        if depth == 0:
+            require_2_edge_connected(g)  # raises, naming a bridge or a component
+        raise InternalCheckError("a component of G - root, or a side of a bridge "
+                                 "in it, has too few edges to the root")
     if g.n <= 2:
         flow = _two_vertices(g, depth, trace)
+    elif block is not None:
+        flow = yield from _cut_case(g, u, block, depth, trace, debug)
     else:
-        block, comp, _ = labels or partition_at_bridge(g, u)
-        if block is not None:
-            flow = yield from _cut_case(g, u, block, depth, trace, debug)
-        else:
-            flow = yield from _bridgeless_case(g, u, comp, depth, trace, debug)
+        flow = yield from _bridgeless_case(g, u, comp, depth, trace, debug)
     if debug:
         _check(verify_rooted(g, u, flow), f"flow fails the rooted check at depth {depth}")
     return flow
@@ -200,9 +202,6 @@ def _cut_case(g, u, block, depth, trace, debug):
         if bh >= 0:
             edges[bh][eid] = (0, local[h])
     children = [Multigraph(sizes[b] + 1, edges[b]) for b in labels]
-    if debug:
-        _check(all(map(is_2_edge_connected, children)),
-               "cut-case contraction broke 2-edge-connectivity")
     trace.steps.append(CutStep(  # each bridge is in two children, every other edge in one
         depth=depth, blocks=len(children), bridges=sum(c.m for c in children) - g.m))
 
@@ -248,32 +247,25 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     ``comp`` labels the components of G - u, from the step's one DFS; G - u
     itself is read inside G's adjacency, skipping u. The parts are disjoint,
     connected, free of u, even at every vertex, and reached by at least two
-    spokes each; the always-on checks below hold the chooser to that. The
-    root edges are u's adjacency list, one pass over G's edges finds the
-    loops, and one more builds the child instance, in which every part and
-    u are one vertex, the child's root. Every other pass reads only the
-    edges at u and at the parts' vertices, since the extension changes no
-    value elsewhere: before the child is solved, the ends at the parts of
-    the edges it keeps are listed once; after it, one pass over them gives
-    each part vertex's f3 excess, which the spokes' values and then the
-    tree walk over each part cancel.
+    spokes each; the always-on checks below hold the chooser to that. One
+    walk over each part's adjacency gives its BFS tree, its spokes and the
+    ends at it of the edges the child keeps, and one pass over G's edges
+    builds the child, in which every part and u are one vertex, the child's
+    root. The extension changes no value off the root and the parts: after
+    the child is solved, the kept ends give each part vertex's f3 excess,
+    which the spokes' values and then the tree walk over each part cancel,
+    and f2 = 0 is checked on the child's edges at its root.
     The intermediate graph G/parts is built only in debug mode, to re-verify it.
     """
     adj = g.undirected_adj()
-    root_edges = adj[u]  # (edge id, far endpoint) for non-loop edges at u, ascending id
-    loops = [(eid, t) for eid, (t, h) in g.arcs() if t == h]
-    root_loops = [eid for eid, v in loops if v == u]
-    spokes_per_comp = [0] * g.n  # indexed by component label
-    for eid, w in root_edges:
-        spokes_per_comp[comp[w]] += 1
-    _check(bool(root_edges) and all(
-        spokes_per_comp[v] >= 2 for v in range(g.n) if comp[v] == v != u),
-        "a component of G - root has fewer than two edges to the root")
-
-    parts, fallbacks = _choose_parts(g, u, comp, root_edges)
-    vertex_sets = []
+    parts, fallbacks = _choose_parts(g, u, comp, adj[u])
+    part = [-1] * g.n  # index of v's part, -1 off the parts
     trees = []  # per part, its BFS tree as (vertex, edge to its parent) in BFS order
-    where = {}  # part vertex -> index of its part
+    # (edge id, part vertex, +1 if the edge enters the part there): per part
+    # its spokes, ascending by id, and the ends at the parts of the edges the
+    # child keeps (an edge with both ends at parts has both its ends here)
+    spoke_ends = []
+    ends = []
     contracted = set()  # every part's edges
     for i, (verts, edges) in enumerate(parts):
         deg = {}
@@ -284,39 +276,37 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
                "path union has a vertex of odd degree")
         vs = set(verts).union(deg)
         _check(u not in vs, "path union touches the root")
+        _check(all(part[v] < 0 for v in vs), "contracted parts overlap")
+        for v in vs:
+            part[v] = i
         # From the part's smallest vertex, neighbours in ascending edge id
         # (the order of ``adj``); stage 2 forces f3 leaf-upward over it.
         start = min(vs)
         seen = {start}
         tree = [(start, -1)]  # read as it grows
+        at_part = []
         for v, _ in tree:
             for eid, w in adj[v]:
-                if eid in edges and w not in seen:
-                    seen.add(w)
-                    tree.append((w, eid))
+                if eid in edges:
+                    if w not in seen:
+                        seen.add(w)
+                        tree.append((w, eid))
+                else:
+                    (at_part if w == u else ends).append(
+                        (eid, v, 1 if g.endpoints(eid)[1] == v else -1))
         _check(len(tree) == len(vs), "path union did not contract to a single vertex")
+        _check(len(at_part) >= 2, "fewer than two root edges reach the path union")
+        at_part.sort()
         trees.append(tree)
-        vertex_sets.append(vs)
-        where.update(dict.fromkeys(vs, i))
+        spoke_ends.append(at_part)
         contracted |= edges
-    _check(len(where) == sum(map(len, vertex_sets)), "contracted parts overlap")
-
-    # Each part's spokes' ends at it, ascending by id: (edge id, part
-    # vertex, +1 if the spoke enters the part there).
-    spoke_ends = [[] for _ in parts]
-    for eid, w in root_edges:
-        if w in where:
-            spoke_ends[where[w]].append((eid, w, 1 if g.endpoints(eid)[1] == w else -1))
-    _check(all(len(ends) >= 2 for ends in spoke_ends),
-           "fewer than two root edges reach the path union")
-    spokes = frozenset(eid for ends in spoke_ends for eid, _, _ in ends)
+    spokes = frozenset(eid for at_part in spoke_ends for eid, _, _ in at_part)
 
     # G/parts/spokes, numbered as ``contract`` numbers it: u and every part
     # vertex are one vertex, the child's root, at the place of the smallest
     # of them, and every other vertex keeps its order.
-    merged = {u, *where}
-    u2 = min(merged)
-    kept = [v for v in range(g.n) if v not in merged]
+    u2 = min(u, *(tree[0][0] for tree in trees))
+    kept = [v for v in range(g.n) if part[v] < 0 and v != u]
     image = [u2] * g.n
     for i, v in enumerate(kept):
         image[v] = i + (v > u2)
@@ -326,43 +316,33 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     if debug:
         g1, _ = g.contract(contracted)
         _check(g2 == g.contract(removed)[0], "bridgeless child differs from the contraction")
-        _check(is_2_edge_connected(g1) and is_2_edge_connected(g2),
-               "bridgeless-case contraction broke 2-edge-connectivity")
     trace.steps.append(BridgelessStep(
         depth=depth, root_edges=(spoke_ends[0][0][0], spoke_ends[0][1][0]),
         contracted_sizes=(len(contracted), len(spokes)),
         parts=len(parts), fallbacks=fallbacks,
     ))
 
-    # The ends at the parts of the edges the child keeps, as (edge id, part
-    # vertex, +1 if the edge enters the part there); an edge with both ends
-    # at parts has both its ends here. Loops at the parts carry no excess,
-    # only an f2 to check.
-    ends = [(eid, v, 1 if g.endpoints(eid)[1] == v else -1)
-            for v in where for eid, w in adj[v] if w != u and eid not in contracted]
-    part_loops = [eid for eid, v in loops if v in where]
-
     flow = yield _solve_task(g2, u2, depth + 1, trace, debug)
 
     # Stage 1: the f3 excess at each part vertex, then per part nonzero f3
     # with f2 = 0 across its parallel spoke class, cancelling the part's
     # total excess.
-    exc = dict.fromkeys(where, 0)
+    exc = [0] * g.n
     for eid, v, sign in ends:
         exc[v] += sign * flow[eid][1]
-    for vs, part_spokes in zip(vertex_sets, spoke_ends):
+    for tree, at_part in zip(trees, spoke_ends):
         values = extend_nonzero_parallel(
-            -sum(exc[v] for v in vs) % 3, len(part_spokes),
-            [sign for _, _, sign in part_spokes])
-        for (eid, v, sign), val in zip(part_spokes, values):
+            -sum(exc[v] for v, _ in tree) % 3, len(at_part),
+            [sign for _, _, sign in at_part])
+        for (eid, v, sign), val in zip(at_part, values):
             flow[eid] = (0, val)
             exc[v] += sign * val
 
     if debug:
         _check(verify_flow(g1, flow), "spoke extension broke conservation")
-    at_root = chain((eid for eid, _ in root_edges), root_loops)
-    at_parts = chain((eid for eid, _, _ in ends), part_loops)
-    _check(all(flow[eid][0] == 0 for eid in chain(at_root, at_parts)),
+    # The spokes have f2 = 0 from stage 1; the child's edges at its root are
+    # every other edge at u or at a part, loops included.
+    _check(all(flow[eid][0] == 0 for eid, (t, h) in g2.arcs() if u2 in (t, h)),
            "f2 support touches the root or the contracted path vertex")
 
     # Stage 2: f2 = 1 on every part, and f3 on it by conservation, forced

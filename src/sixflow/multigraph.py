@@ -157,8 +157,5 @@ class Multigraph:
             return NotImplemented
         return self.n == other.n and self._edges == other._edges
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self._edges.items()))))
-
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, edges={dict(self._edges)!r})"

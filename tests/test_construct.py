@@ -183,30 +183,65 @@ class TestPartChooser:
         for u in g.vertices():
             check_parts(g, u)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 30), st.randoms(use_true_random=False))
+    def test_ladders_with_shuffled_ids_every_root(self, k, rng):
+        arcs = [ends for _, ends in grid(2, k).arcs()]
+        rng.shuffle(arcs)
+        g = Multigraph.build(2 * k, arcs)
+        for u in g.vertices():
+            check_parts(g, u)
+
 
 class TestScale:
     SRC = Path(__file__).resolve().parents[1] / "src"
-    EAR_GRAPH = (
-        "import json, time\n"
-        "from sixflow import random_2ec_multigraph, solve, verify_rooted\n"
-        "g = random_2ec_multigraph(20_000, 10_000, 1)\n"
+    # Builds g and its root u from the graph expression, solves, and prints
+    # the solve's seconds, the process's peak resident set (VmHWM) in MB,
+    # the depth, and whether the flow is rooted.
+    SCRIPT = (
+        "import json, random, time\n"
+        "from sixflow import Multigraph, random_2ec_multigraph, solve, verify_rooted\n"
+        "from sixflow.testkit import flower, with_root_loops\n"
+        "def k2(k):\n"
+        "    return Multigraph.build(k + 2, [(hub, 2 + i) for i in range(k) for hub in (0, 1)])\n"
+        "rng = random.Random(1)\n"
+        "g, u = {graph}, {root}\n"
         "t0 = time.perf_counter()\n"
-        "flow, trace = solve(g, 0)\n"
+        "flow, trace = solve(g, u)\n"
         "seconds = time.perf_counter() - t0\n"
         "with open('/proc/self/status') as status:\n"
         "    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
-        "print(json.dumps([seconds, peak / 1024, trace.depth, verify_rooted(g, 0, flow)]))\n"
+        "print(json.dumps([seconds, peak / 1024, trace.depth, verify_rooted(g, u, flow)]))\n"
     )
 
-    def test_ear_graph_of_20000_vertices(self):
-        # a fresh process, so that its peak resident set (VmHWM) is this solve's
+    def solve_alone(self, graph, root, max_seconds, max_mb):
+        # a fresh process, so that its peak resident set is this solve's
         path = os.pathsep.join(filter(None, (str(self.SRC), os.environ.get("PYTHONPATH"))))
-        out = subprocess.run([sys.executable, "-c", self.EAR_GRAPH], capture_output=True,
+        script = self.SCRIPT.format(graph=graph, root=root)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": path})
         seconds, peak_mb, depth, rooted = json.loads(out.stdout)
         assert rooted
-        assert seconds < 10, f"{seconds:.2f}s at depth {depth}"
-        assert peak_mb < 300, f"{peak_mb:.0f} MB at depth {depth}"
+        assert seconds < max_seconds, f"{seconds:.2f}s at depth {depth}"
+        assert peak_mb < max_mb, f"{peak_mb:.0f} MB at depth {depth}"
+
+    def test_ear_graph_of_20000_vertices(self):
+        self.solve_alone("random_2ec_multigraph(20_000, 10_000, 1)", 0, 10, 300)
+
+    # Adversarial shapes, each bounded at about three times its measured
+    # solve time and peak resident set.
+    @pytest.mark.parametrize("graph, root, max_seconds, max_mb", [
+        pytest.param("k2(50_000)", 2, 1.5, 300, id="K2,50000-at-a-leaf"),
+        pytest.param("k2(50_000)", 0, 3.5, 320, id="K2,50000-at-a-hub"),
+        pytest.param("Multigraph.build(3, [(0, 1), (1, 2), (2, 0)] * 30_000)", 0, 1, 200,
+                     id="three-parallel-classes-of-30000"),
+        pytest.param("flower([rng.randint(2, 10) for _ in range(20_000)])", 0,
+                     5.5, 430, id="flower-of-20000-petals"),
+        pytest.param("with_root_loops(random_2ec_multigraph(20_000, 10_000, 1), 0, 5_000)", 0,
+                     1, 160, id="ear-graph-with-5000-root-loops"),
+    ])
+    def test_adversarial_family(self, graph, root, max_seconds, max_mb):
+        self.solve_alone(graph, root, max_seconds, max_mb)
 
     def test_cycle_of_100000_vertices(self):
         # G - u is a path of 99,999 blocks, all children of one cut step
@@ -225,30 +260,62 @@ class TestScale:
         assert seconds < 5, f"{seconds:.2f}s at depth {trace.depth}"
 
 
+INSTANCE_MESSAGE = ("a component of G - root, or a side of a bridge in it, "
+                    "has too few edges to the root")
+
+
+class TestRecursedInstanceCheck:
+    """A recursed instance that is not 2-edge-connected is an internal
+    fault, caught by its own step before it recurses; the same graph as
+    input is a StructuralError that names what is wrong."""
+
+    # G - 0 is the path 1-2-3 with the bridge 2 = (1, 2); the side {2, 3}
+    # has no root edge
+    CUT = [(0, 1), (0, 1), (1, 2), (2, 3), (3, 2)]
+
+    def test_cut_instance_with_a_bare_side(self):
+        g = Multigraph.build(4, self.CUT)
+        trace = ConstructionTrace()
+        with pytest.raises(InternalCheckError) as exc:
+            next(_solve_task(g, 0, 1, trace, False))
+        assert str(exc.value) == INSTANCE_MESSAGE
+        assert trace.steps == []
+        with pytest.raises(StructuralError) as exc:
+            solve(g, 0)
+        assert "bridge: edge 2" in str(exc.value)
+        assert exc.value.bridge == 2
+
+    @pytest.mark.parametrize("arcs", [[(0, 1)], [(1, 0), (0, 0), (1, 1)]])
+    def test_two_vertices_one_link(self, arcs):
+        g = Multigraph.build(2, arcs)
+        with pytest.raises(InternalCheckError) as exc:
+            next(_solve_task(g, 0, 1, ConstructionTrace(), False))
+        assert str(exc.value) == INSTANCE_MESSAGE
+
+
 class TestBridgelessChecksFire:
     """Each always-on check of the bridgeless step, reached on a bad input.
 
     The first two graphs are not 2-edge-connected, so ``solve`` would
-    reject them; the step is driven directly, up to its first child, or
-    past it with a bad child flow (``after_children``).
+    reject them as input; they are driven as recursed instances (depth 1).
+    The step is driven directly, up to its first child, or past it with a
+    bad child flow (``after_children``).
     """
 
     @staticmethod
-    def first_step(g, u=0):
+    def first_step(g, u=0, depth=0):
         with pytest.raises(InternalCheckError) as exc:
-            next(_solve_task(g, u, 0, ConstructionTrace(), False))
+            next(_solve_task(g, u, depth, ConstructionTrace(), False))
         return str(exc.value)
 
     def test_component_with_one_root_edge(self):
         g = Multigraph.build(3, [(0, 1), (1, 2), (1, 2)])
-        assert self.first_step(g) == (
-            "a component of G - root has fewer than two edges to the root")
+        assert self.first_step(g, depth=1) == INSTANCE_MESSAGE
 
     def test_component_with_no_root_edge(self):
         # {1} has both root edges, {2, 3} has none
         g = Multigraph.build(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-        assert self.first_step(g) == (
-            "a component of G - root has fewer than two edges to the root")
+        assert self.first_step(g, depth=1) == INSTANCE_MESSAGE
 
     @staticmethod
     def inject(monkeypatch, *parts):
@@ -505,8 +572,9 @@ class TestInputCheck:
 
 
 class TestOneSearchPerStep:
-    """A valid solve runs one lowpoint DFS per instance of three or more
-    vertices, the root's included, and never copies G - u."""
+    """A valid solve, in debug mode too, runs one lowpoint DFS per instance
+    of three or more vertices, the root's included, and never copies G - u.
+    That DFS is also each instance's 2-edge-connectivity check."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -525,9 +593,9 @@ class TestOneSearchPerStep:
         return calls
 
     @staticmethod
-    def steps(g, u, calls):
+    def steps(g, u, calls, debug=False):
         calls.clear()
-        f, trace = solve(g, u)
+        f, trace = solve(g, u, debug=debug)
         assert verify_rooted(g, u, f)
         assert None not in calls  # every search skips its instance's root
         return sum(not isinstance(step, BaseStep) for step in trace.steps)
@@ -538,6 +606,13 @@ class TestOneSearchPerStep:
         for g in graphs:
             for u in (0, g.n // 2):
                 assert self.steps(g, u, searches) == len(searches) > 0
+
+    def test_debug_mode_adds_no_search(self, searches):
+        graphs = [cycle(40), doubled_cycle(30), grid(7, 7), petersen(),
+                  random_2ec_multigraph(400, 200, 5)]
+        for g in graphs:
+            for u in (0, g.n // 2):
+                assert self.steps(g, u, searches, debug=True) == len(searches) > 0
 
     def test_path_union_fallback(self, searches, monkeypatch):
         monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
