@@ -15,6 +15,11 @@ The machine-readable variant is a single JSON document with the same fields.
 Internal consistency (z6 = pairing of f2/f3, int6 congruent to z6 mod 6,
 value ranges) is enforced on read, independent of any graph.
 
+A ``FlowDocument`` is the root plus one column per field of the ``f`` lines
+(edge id, tail, head, f2, f3, z6, int6), each a tuple in file order. The
+readers and ``build_flow_document`` fill the columns directly, and the
+writers and checks zip them, so the document holds no per-edge record.
+
 Each file is read with whole-list operations, not a Python loop per line.
 The body is split into tokens once, and the token count of each line is
 taken alongside (comment lines, whose first token starts with ``c``, are
@@ -36,33 +41,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, IntegerFlow
 from .multigraph import Multigraph
 from .tutte import pair_to_z6
 
-
-class FlowEntry(NamedTuple):
-    edge_id: int
-    tail: int
-    head: int
-    f2: int
-    f3: int
-    z6: int
-    int6: int
-
-
-# FlowEntry._make without its Python-level call and length check; every
-# caller passes exactly seven values.
-_new_entry = partial(tuple.__new__, FlowEntry)
-_edge_id = itemgetter(0)
-_ends = itemgetter(1, 2)
-_values = itemgetter(3, 4, 5, 6)
 
 # Every (f2, f3, z6, int6) a valid entry can hold: f2 in Z2, f3 in Z3,
 # z6 their pairing, 0 < |int6| <= 5 and int6 congruent to z6 mod 6.
@@ -77,14 +64,22 @@ _VALID_VALUES = frozenset(
 
 @dataclass(frozen=True)
 class FlowDocument:
+    """A flow file's root and its columns, each a tuple in file order."""
+
     root: int
-    entries: tuple[FlowEntry, ...]
+    edge_id: tuple[int, ...]
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    f2: tuple[int, ...]
+    f3: tuple[int, ...]
+    z6: tuple[int, ...]
+    int6: tuple[int, ...]
 
     def group_flow(self) -> GroupFlow:
-        return {e.edge_id: (e.f2, e.f3) for e in self.entries}
+        return dict(zip(self.edge_id, zip(self.f2, self.f3)))
 
     def integer_flow(self) -> IntegerFlow:
-        return {e.edge_id: e.int6 for e in self.entries}
+        return dict(zip(self.edge_id, self.int6))
 
 
 def _tokens(text: str) -> tuple[list[str], list[int]]:
@@ -153,12 +148,15 @@ def format_graph(g: Multigraph) -> str:
 def build_flow_document(
     g: Multigraph, root: int, f: GroupFlow, int6: IntegerFlow
 ) -> FlowDocument:
-    entries = tuple([
-        _new_entry((eid, t, h, a, b, pair_to_z6((a, b)), int6[eid]))
-        for eid, (t, h) in g.arcs()
-        for a, b in (f[eid],)
-    ])
-    return FlowDocument(root=root, entries=entries)
+    first, second = itemgetter(0), itemgetter(1)
+    ids = tuple(g.edge_ids)
+    ends = list(map(second, g.arcs()))
+    pairs = list(map(f.__getitem__, ids))
+    return FlowDocument(
+        root, ids, tuple(map(first, ends)), tuple(map(second, ends)),
+        tuple(map(first, pairs)), tuple(map(second, pairs)),
+        tuple(map(pair_to_z6, pairs)), tuple(map(int6.__getitem__, ids)),
+    )
 
 
 # One machine-format entry, exactly as json.dumps(..., indent=2,
@@ -167,18 +165,19 @@ _JSON_ENTRY = (
     '    {\n      "f2": %d,\n      "f3": %d,\n      "head": %d,\n      "id": %d,\n'
     '      "int6": %d,\n      "tail": %d,\n      "z6": %d\n    }'
 )
-_json_order = itemgetter(3, 4, 2, 0, 6, 1, 5)
 
 
 def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
     if fmt == "machine":
-        if not doc.entries:
+        if not doc.edge_id:
             return '{\n  "edges": [],\n  "root": %d\n}\n' % doc.root
-        edges = ",\n".join(map(_JSON_ENTRY.__mod__, map(_json_order, doc.entries)))
+        rows = zip(doc.f2, doc.f3, doc.head, doc.edge_id, doc.int6, doc.tail, doc.z6)
+        edges = ",\n".join(map(_JSON_ENTRY.__mod__, rows))
         return '{\n  "edges": [\n%s\n  ],\n  "root": %d\n}\n' % (edges, doc.root)
     if fmt != "text":
         raise InputError(f"unknown format {fmt!r}")
-    lines = map("f %s %s %s %s %s %s %s".__mod__, doc.entries)
+    rows = zip(doc.edge_id, doc.tail, doc.head, doc.f2, doc.f3, doc.z6, doc.int6)
+    lines = map("f %s %s %s %s %s %s %s".__mod__, rows)
     return "\n".join(chain((f"s SOLUTION root={doc.root}",), lines)) + "\n"
 
 
@@ -192,14 +191,14 @@ def parse_flow(text: str) -> FlowDocument:
         s, solution, root_field = tokens[start:start + 3]
         root = int(root_field[5:])
         body = tokens[:start] + tokens[start + 3:]
-        values = [list(map(int, body[i::8])) for i in range(1, 8)]
+        columns = [tuple(map(int, body[i::8])) for i in range(1, 8)]
     except ValueError:
         _reject_flow(text)
     edges = len(counts) - 1
     if (s != "s" or solution != "SOLUTION" or not root_field.startswith("root=")
             or counts.count(8) != edges or body[0::8].count("f") != edges):
         _reject_flow(text)
-    doc = FlowDocument(root=root, entries=tuple(map(_new_entry, zip(*values))))
+    doc = FlowDocument(root, *columns)
     _validate_flow_document(doc)
     return doc
 
@@ -253,39 +252,37 @@ def _parse_flow_json(text: str) -> FlowDocument:
             if type(value) is not int
         )
         raise InputError(f"edges[{i}]: {key} value {value!r} is not an integer")
-    doc = FlowDocument(root=root, entries=tuple(map(_new_entry, rows)))
+    doc = FlowDocument(root, *(tuple(map(itemgetter(i), rows)) for i in range(7)))
     _validate_flow_document(doc)
     return doc
 
 
 def _validate_flow_document(doc: FlowDocument) -> None:
-    entries = doc.entries
-    if (len(set(map(_edge_id, entries))) == len(entries)
-            and set(map(_values, entries)) <= _VALID_VALUES):
+    values = zip(doc.f2, doc.f3, doc.z6, doc.int6)
+    if len(set(doc.edge_id)) == len(doc.edge_id) and set(values) <= _VALID_VALUES:
         return
     seen = set()
-    for e in entries:
-        where = f"edge {e.edge_id}"
-        if e.edge_id in seen:
+    for eid, f2, f3, z6, int6 in zip(doc.edge_id, doc.f2, doc.f3, doc.z6, doc.int6):
+        where = f"edge {eid}"
+        if eid in seen:
             raise InputError(f"{where}: duplicate edge id")
-        seen.add(e.edge_id)
-        if e.f2 not in (0, 1):
-            raise InputError(f"{where}: f2 value {e.f2} out of range")
-        if e.f3 not in (0, 1, 2):
-            raise InputError(f"{where}: f3 value {e.f3} out of range")
-        if e.z6 != pair_to_z6((e.f2, e.f3)):
-            raise InputError(f"{where}: z6 value {e.z6} does not match ({e.f2}, {e.f3})")
-        if not 0 < abs(e.int6) <= 5:
-            raise InputError(f"{where}: int6 value {e.int6} out of range")
-        if e.int6 % 6 != e.z6:
-            raise InputError(f"{where}: int6 value {e.int6} not congruent to z6 {e.z6}")
+        seen.add(eid)
+        if f2 not in (0, 1):
+            raise InputError(f"{where}: f2 value {f2} out of range")
+        if f3 not in (0, 1, 2):
+            raise InputError(f"{where}: f3 value {f3} out of range")
+        if z6 != pair_to_z6((f2, f3)):
+            raise InputError(f"{where}: z6 value {z6} does not match ({f2}, {f3})")
+        if not 0 < abs(int6) <= 5:
+            raise InputError(f"{where}: int6 value {int6} out of range")
+        if int6 % 6 != z6:
+            raise InputError(f"{where}: int6 value {int6} not congruent to z6 {z6}")
     raise InternalCheckError("flow entries rejected, but no entry of them is bad")
 
 
 def flow_matches_graph(doc: FlowDocument, g: Multigraph) -> bool:
-    entries = doc.entries
-    arcs = zip(map(_edge_id, entries), map(_ends, entries))
-    return len(entries) == g.m and all(map(g.arcs().__contains__, arcs))
+    arcs = zip(doc.edge_id, zip(doc.tail, doc.head))
+    return len(doc.edge_id) == g.m and all(map(g.arcs().__contains__, arcs))
 
 
 def _int(token: str, lineno: int) -> int:

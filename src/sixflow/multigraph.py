@@ -37,6 +37,8 @@ class Multigraph:
     @classmethod
     def build(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Multigraph":
         """Build a graph from (tail, head) tuples; ids are assigned 0..m-1 in order."""
+        if n < 0:
+            raise InputError(f"vertex count {n} is negative")
         edges = dict(enumerate(arcs))
         ends = set(chain.from_iterable(edges.values()))
         if ends and not (0 <= min(ends) and max(ends) < n):

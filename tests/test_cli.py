@@ -5,7 +5,6 @@ import pytest
 from sixflow import InputError, Multigraph
 from sixflow.cli import main
 from sixflow.fileio import (
-    FlowDocument,
     format_flow,
     format_graph,
     parse_flow,
@@ -120,7 +119,7 @@ class TestSolveCommand:
         gfile.write_text(TRIANGLE)
         assert main(["solve", str(gfile), "--root", "0"]) == 0
         doc = parse_flow(capsys.readouterr().out)
-        assert all(e.f2 == 0 for e in doc.entries)
+        assert all(a == 0 for a in doc.f2)
 
     def test_bridge_exits_2_and_names_edge(self, tmp_path, capsys):
         gfile = tmp_path / "g.nzf"
@@ -160,18 +159,19 @@ class TestVerifyCommand:
             assert "ok" in capsys.readouterr().out
 
     def test_tampered_value_exits_3(self, solved, tmp_path, capsys):
-        from sixflow.fileio import FlowEntry
+        from dataclasses import replace
+
         from sixflow.tutte import pair_to_z6
 
         gfile, ffile = solved
         doc = parse_flow(open(ffile).read())
-        e = doc.entries[0]
-        new_f3 = (e.f3 + 1) % 3
-        if (e.f2, new_f3) == (0, 0):
-            new_f3 = (e.f3 + 2) % 3
-        z6 = pair_to_z6((e.f2, new_f3))
-        tampered = FlowEntry(e.edge_id, e.tail, e.head, e.f2, new_f3, z6, z6)
-        bad = FlowDocument(doc.root, (tampered,) + doc.entries[1:])
+        f2, f3 = doc.f2[0], doc.f3[0]
+        new_f3 = (f3 + 1) % 3
+        if (f2, new_f3) == (0, 0):
+            new_f3 = (f3 + 2) % 3
+        z6 = pair_to_z6((f2, new_f3))
+        bad = replace(doc, f3=(new_f3,) + doc.f3[1:], z6=(z6,) + doc.z6[1:],
+                      int6=(z6,) + doc.int6[1:])
         bfile = tmp_path / "bad.flow"
         bfile.write_text(format_flow(bad))
         assert main(["verify", gfile, str(bfile), "--mode", "group"]) == 3

@@ -201,7 +201,7 @@ class TestScale:
     SCRIPT = (
         "import json, random, time\n"
         "from sixflow import Multigraph, random_2ec_multigraph, solve, verify_rooted\n"
-        "from sixflow.testkit import flower, with_root_loops\n"
+        "from sixflow.testkit import flower, grid, with_root_loops\n"
         "def k2(k):\n"
         "    return Multigraph.build(k + 2, [(hub, 2 + i) for i in range(k) for hub in (0, 1)])\n"
         "rng = random.Random(1)\n"
@@ -239,6 +239,7 @@ class TestScale:
                      5.5, 430, id="flower-of-20000-petals"),
         pytest.param("with_root_loops(random_2ec_multigraph(20_000, 10_000, 1), 0, 5_000)", 0,
                      1, 160, id="ear-graph-with-5000-root-loops"),
+        pytest.param("grid(300, 300)", 0, 5, 640, id="grid-300-by-300-at-a-corner"),
     ])
     def test_adversarial_family(self, graph, root, max_seconds, max_mb):
         self.solve_alone(graph, root, max_seconds, max_mb)

@@ -30,6 +30,13 @@ class TestBuild:
         with pytest.raises(InputError):
             Multigraph.build(2, [(0, 2)])
 
+    def test_negative_vertex_count(self):
+        # format_graph would write it as a header that parse_graph rejects
+        with pytest.raises(InputError) as exc:
+            Multigraph.build(-2, [])
+        assert str(exc.value) == "vertex count -2 is negative"
+        assert Multigraph.build(0, []).n == 0
+
 
 def brute_force_image(g, s):
     """Components of the spanning subgraph (V, S), numbered by smallest member."""
