@@ -1,7 +1,7 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
 the 2-edge-connected blocks of G - u, the even, connected parts of G - u
-that two root edges reach, and the even, connected edge set through two
-vertices.
+that two root edges reach, each with the BFS tree of the one walk that
+finds it, and the even, connected edge set through two vertices.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import Optional
+from typing import AbstractSet, Optional
 
-from .errors import StructuralError
+from .errors import InternalCheckError, StructuralError
 from .multigraph import Multigraph
 
 
@@ -204,26 +204,25 @@ def partition_at_bridge(
 
 def even_parts(
     g: Multigraph, u: int, comp: list[int], root_edges: list[tuple[int, int]]
-) -> list[tuple[list[int], frozenset[int]]]:
+) -> list[tuple[list[tuple[int, int]], frozenset[int]]]:
     """Disjoint even, connected parts of G - u that two root edges reach.
 
-    G - u is read inside G, ignoring every adjacency entry that leads to u.
-    ``comp`` labels its components (as ``partition_at_bridge`` returns
-    them), and ``root_edges`` lists the (edge id, far endpoint) of every
-    non-loop edge at u, ascending by id.
-    Returns (vertices, edges) per part: the vertices of a connected
-    component K of C - J, for some component C of G - u, and the edges of
-    C - J inside K. Every vertex has even degree in those edges (loops do
-    not count), and K is listed only when at least two root edges reach it.
-    Components come in the order of their first root edge; a component may
-    give no part.
+    G - u is read inside G. ``comp`` labels its components (as
+    ``partition_at_bridge`` returns them), and ``root_edges`` lists the
+    (edge id, far endpoint) of every non-loop edge at u, ascending by id.
+    A part is a connected component K of C - J, for some component C of
+    G - u, that at least two root edges reach; it is returned as the
+    ``walk_part`` (tree, edges) of K from its smallest vertex, the walk
+    that finds K. Components come in the order of their first root edge,
+    the parts of each by smallest vertex; a component may give no part.
 
     J is a T-join of C's odd vertices (Edmonds-Johnson 1973), so C - J is
     even. It is built over a BFS tree of C from the far end of C's first
     root edge, neighbours by edge id. Walking in BFS order, each odd vertex
     first takes the first edge, by id, to an odd neighbour into J. Each
     vertex still odd then toggles its parent tree edge in J, leaf-upward,
-    which makes the root even as well. Every pass is linear in C.
+    which makes the root even as well. Every pass is linear in C but the
+    sort of its vertices.
     """
     adj = g.undirected_adj()
     spokes = [0] * g.n  # root edges per vertex
@@ -235,8 +234,9 @@ def even_parts(
     odd[u] = False
     up = [-1] * g.n  # BFS tree edge to the parent
     seen = [False] * g.n  # reached by the BFS
-    placed = [False] * g.n  # given to a component of C - J
+    placed = [False] * g.n  # walked into a part
     seen[u] = placed[u] = True  # so no walk enters u
+    cut = {eid for eid, _ in root_edges}  # the edges no part walk follows: these and J
     parts = []
     for s in first.values():
         seen[s] = True
@@ -247,37 +247,52 @@ def even_parts(
                     seen[w] = True
                     up[w] = eid
                     order.append(w)
-        j: set[int] = set()
         for v in order:
             if odd[v]:
                 for eid, w in adj[v]:
                     if odd[w]:
-                        j.add(eid)
+                        cut.add(eid)
                         odd[v] = odd[w] = False
                         break
         for v in reversed(order[1:]):
             if odd[v]:
                 eid = up[v]
-                j ^= {eid}
+                cut ^= {eid}
                 t, h = g.endpoints(eid)
                 odd[t] ^= True
                 odd[h] ^= True
-        for r in order:
-            if placed[r]:
-                continue
-            placed[r] = True
-            verts = [r]
-            edges = set()
-            for v in verts:
-                for eid, w in adj[v]:
-                    if w != u and eid not in j:
-                        edges.add(eid)
-                        if not placed[w]:
-                            placed[w] = True
-                            verts.append(w)
-            if sum(spokes[v] for v in verts) >= 2:
-                parts.append((verts, frozenset(edges)))
+        for r in sorted(order):
+            if not placed[r]:
+                tree, edges = walk_part(adj, r, cut, placed)
+                if sum(spokes[v] for v, _ in tree) >= 2:
+                    parts.append((tree, edges))
     return parts
+
+
+def walk_part(adj: list[list[tuple[int, int]]], start: int, cut: AbstractSet[int],
+              placed: list[bool]) -> tuple[list[tuple[int, int]], frozenset[int]]:
+    """One BFS from ``start`` along every edge not in ``cut``, neighbours in
+    edge-id order: (tree, edges), the tree as (vertex, edge to its parent)
+    in BFS order from (start, -1), and the edges followed. The walk enters
+    no ``placed`` vertex, not even the start, and places every vertex it
+    enters. Raises InternalCheckError if a walked vertex has odd degree in
+    the followed edges.
+    """
+    tree = [] if placed[start] else [(start, -1)]  # read as it grows
+    placed[start] = True
+    edges = set()
+    for v, _ in tree:
+        odd = False
+        for eid, w in adj[v]:
+            if eid not in cut:
+                odd = not odd
+                edges.add(eid)
+                if not placed[w]:
+                    placed[w] = True
+                    tree.append((w, eid))
+        if odd:
+            raise InternalCheckError("path union has a vertex of odd degree")
+    return tree, frozenset(edges)
 
 
 def two_edge_disjoint_paths(

@@ -26,12 +26,12 @@ vertices. Otherwise two cases:
   pass over the edges; solve, and extend back in two stages, part by part.
   The child's edges at the parts give the f3 excess at each part vertex,
   and each part's spokes get nonzero f3 that cancels the part's total.
-  Then f3 on the part follows by conservation, forced leaf-upward over one
-  BFS tree of it, and f2 = 1 on the whole part (every vertex has even
-  degree in it, so mod-2 conservation survives). The extension changes
-  only the edges at the root and at the parts. On ear graphs, grids and
-  doubled cycles a part swallows most of its component, so the recursion
-  is a few levels deep.
+  Then f3 on the part follows by conservation, forced leaf-upward over the
+  BFS tree of the one walk that found the part, and f2 = 1 on the whole
+  part (every vertex has even degree in it, so mod-2 conservation
+  survives). The extension changes only the edges at the root and parts.
+  On ear graphs, grids and doubled cycles a part swallows most of its
+  component, so the recursion is a few levels deep.
 
 Each step reads G - root inside G, with no copy and no renumbering: one
 lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the
@@ -62,6 +62,7 @@ from .connectivity import (
     partition_at_bridge,
     require_2_edge_connected,
     two_edge_disjoint_paths,
+    walk_part,
 )
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, negate_f3, verify_flow, verify_rooted
@@ -84,7 +85,9 @@ class CutStep:
 @dataclass(frozen=True)
 class BridgelessStep:
     depth: int
-    root_edges: tuple[int, int]  # the first part's first two spokes
+    # the first part's first two spokes; parts come by component, in the
+    # order of their first root edge, then by smallest vertex
+    root_edges: tuple[int, int]
     contracted_sizes: tuple[int, int]  # (part edges, spokes), over every part
     parts: int
     fallbacks: int  # parts that are path unions
@@ -223,19 +226,26 @@ def _choose_parts(g, u, comp, root_edges):
     """The parts one bridgeless step contracts, and how many are fallbacks.
 
     ``even_parts`` gives the even parts of each component of G - u. A
-    component that gives none falls back to the union of two edge-disjoint
-    paths between the far ends of its first two root edges, listed last.
-    Every part is (vertices, edges); a fallback lists only those two ends
-    and its edges.
+    component that gives none falls back to the union P of two edge-disjoint
+    paths between the far ends x, x2 of its first two root edges, listed
+    last, walked along P alone from the smallest of x, x2 and P's ends; the
+    walk must reach them all. Parts are (tree, edges), as from ``walk_part``.
     """
+    adj = g.undirected_adj()
     parts = even_parts(g, u, comp, root_edges)
-    covered = {comp[verts[0]] for verts, _ in parts}
+    covered = {comp[tree[0][0]] for tree, _ in parts}
     pairs: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
     for _, w in root_edges:
         if comp[w] not in covered:
             pairs.setdefault(comp[w], []).append(w)
+    placed = [v == u for v in range(g.n)]  # so no walk enters u
     for x, x2, *_ in pairs.values():
-        parts.append(([x, x2], two_edge_disjoint_paths(g, x, x2, skip=u)))
+        p = two_edge_disjoint_paths(g, x, x2, skip=u)
+        ends = {x, x2, *(v for eid in p for v in g.endpoints(eid))}
+        off_p = {eid for v in ends for eid, _ in adj[v]}.difference(p)
+        tree, _ = walk_part(adj, min(ends), off_p, placed)
+        _check(len(tree) == len(ends), "path union did not contract to a single vertex")
+        parts.append((tree, p))
     return parts, len(pairs)
 
 
@@ -244,68 +254,36 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     root edges into it, solve the smaller instance, then extend back part by
     part.
 
-    ``comp`` labels the components of G - u, from the step's one DFS; G - u
-    itself is read inside G's adjacency, skipping u. The parts are disjoint,
-    connected, free of u, even at every vertex, and reached by at least two
-    spokes each; the always-on checks below hold the chooser to that. One
-    walk over each part's adjacency gives its BFS tree, its spokes and the
-    ends at it of the edges the child keeps, and one pass over G's edges
+    ``comp`` labels the components of G - u, from the step's one DFS. Each
+    part's tree comes from the one walk that found it, which never entered
+    u or an earlier part and found every vertex even, so the parts are
+    disjoint, connected, free of u and even. One pass over u's adjacency
+    gives the spokes, at least two per part, and one pass over G's edges
     builds the child, in which every part and u are one vertex, the child's
-    root. The extension changes no value off the root and the parts: after
-    the child is solved, the kept ends give each part vertex's f3 excess,
-    which the spokes' values and then the tree walk over each part cancel,
-    and f2 = 0 is checked on the child's edges at its root.
-    The intermediate graph G/parts is built only in debug mode, to re-verify it.
+    root. The extension changes no value off the root and the parts: the
+    child's edges at its root must carry f2 = 0, and give each part vertex's
+    f3 excess, which the spokes' values and then f3 forced over each part's
+    tree cancel. G/parts is built only in debug mode, to re-verify it.
     """
     adj = g.undirected_adj()
     parts, fallbacks = _choose_parts(g, u, comp, adj[u])
     part = [-1] * g.n  # index of v's part, -1 off the parts
-    trees = []  # per part, its BFS tree as (vertex, edge to its parent) in BFS order
-    # (edge id, part vertex, +1 if the edge enters the part there): per part
-    # its spokes, ascending by id, and the ends at the parts of the edges the
-    # child keeps (an edge with both ends at parts has both its ends here)
-    spoke_ends = []
-    ends = []
     contracted = set()  # every part's edges
-    for i, (verts, edges) in enumerate(parts):
-        deg = {}
-        for eid in edges:
-            for v in g.endpoints(eid):
-                deg[v] = deg.get(v, 0) + 1
-        _check(all(d % 2 == 0 for d in deg.values()),
-               "path union has a vertex of odd degree")
-        vs = set(verts).union(deg)
-        _check(u not in vs, "path union touches the root")
-        _check(all(part[v] < 0 for v in vs), "contracted parts overlap")
-        for v in vs:
-            part[v] = i
-        # From the part's smallest vertex, neighbours in ascending edge id
-        # (the order of ``adj``); stage 2 forces f3 leaf-upward over it.
-        start = min(vs)
-        seen = {start}
-        tree = [(start, -1)]  # read as it grows
-        at_part = []
+    for i, (tree, edges) in enumerate(parts):
         for v, _ in tree:
-            for eid, w in adj[v]:
-                if eid in edges:
-                    if w not in seen:
-                        seen.add(w)
-                        tree.append((w, eid))
-                else:
-                    (at_part if w == u else ends).append(
-                        (eid, v, 1 if g.endpoints(eid)[1] == v else -1))
-        _check(len(tree) == len(vs), "path union did not contract to a single vertex")
-        _check(len(at_part) >= 2, "fewer than two root edges reach the path union")
-        at_part.sort()
-        trees.append(tree)
-        spoke_ends.append(at_part)
+            part[v] = i
         contracted |= edges
+    spoke_ends = [[] for _ in parts]  # per part (edge id, part vertex, +1 if it enters)
+    for eid, w in adj[u]:
+        if part[w] >= 0:
+            spoke_ends[part[w]].append((eid, w, 1 if g.endpoints(eid)[1] == w else -1))
+    _check(min(map(len, spoke_ends)) >= 2, "fewer than two root edges reach the path union")
     spokes = frozenset(eid for at_part in spoke_ends for eid, _, _ in at_part)
 
     # G/parts/spokes, numbered as ``contract`` numbers it: u and every part
     # vertex are one vertex, the child's root, at the place of the smallest
     # of them, and every other vertex keeps its order.
-    u2 = min(u, *(tree[0][0] for tree in trees))
+    u2 = min(u, *(tree[0][0] for tree, _ in parts))
     kept = [v for v in range(g.n) if part[v] < 0 and v != u]
     image = [u2] * g.n
     for i, v in enumerate(kept):
@@ -324,13 +302,22 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
 
     flow = yield _solve_task(g2, u2, depth + 1, trace, debug)
 
-    # Stage 1: the f3 excess at each part vertex, then per part nonzero f3
-    # with f2 = 0 across its parallel spoke class, cancelling the part's
-    # total excess.
-    exc = [0] * g.n
-    for eid, v, sign in ends:
-        exc[v] += sign * flow[eid][1]
-    for tree, at_part in zip(trees, spoke_ends):
+    # The child's edges at its root, loops included, are the edges at u or at
+    # a part vertex that are neither spokes nor part edges.
+    exc = [0] * g.n  # f3 excess, read only at part vertices
+    f2_at_root = 0
+    for eid, (t, h) in g2.arcs():
+        if t == u2 or h == u2:
+            f2, f3 = flow[eid]
+            f2_at_root |= f2
+            tail, head = g.endpoints(eid)
+            exc[tail] -= f3
+            exc[head] += f3
+    _check(not f2_at_root, "f2 support touches the root or the contracted path vertex")
+
+    # Stage 1: per part nonzero f3 with f2 = 0 across its parallel spoke
+    # class, cancelling the part's total excess.
+    for (tree, _), at_part in zip(parts, spoke_ends):
         values = extend_nonzero_parallel(
             -sum(exc[v] for v, _ in tree) % 3, len(at_part),
             [sign for _, _, sign in at_part])
@@ -340,15 +327,11 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
 
     if debug:
         _check(verify_flow(g1, flow), "spoke extension broke conservation")
-    # The spokes have f2 = 0 from stage 1; the child's edges at its root are
-    # every other edge at u or at a part, loops included.
-    _check(all(flow[eid][0] == 0 for eid, (t, h) in g2.arcs() if u2 in (t, h)),
-           "f2 support touches the root or the contracted path vertex")
 
     # Stage 2: f2 = 1 on every part, and f3 on it by conservation, forced
     # leaf-upward over the part's BFS tree; every other part edge keeps f3 = 0.
     flow.update(dict.fromkeys(contracted, (1, 0)))
-    for tree in trees:
+    for tree, _ in parts:
         for v, eid in reversed(tree[1:]):
             t, h = g.endpoints(eid)
             val = (exc[v] if t == v else -exc[v]) % 3

@@ -102,7 +102,7 @@ def parse_graph(text: str) -> Multigraph:
     except ValueError:
         _reject_graph(text)
     edges = len(counts) - 1
-    if (p != "p" or nzf != "nzf" or n < 1 or m < 0 or counts[0] != 4
+    if (p != "p" or nzf != "nzf" or n < 0 or m < 0 or counts[0] != 4
             or counts.count(3) != edges or body[0::3].count("e") != edges):
         _reject_graph(text)
     if edges != m:
@@ -124,7 +124,7 @@ def _reject_graph(text: str) -> NoReturn:
             if len(parts) != 4 or parts[1] != "nzf":
                 raise InputError(f"line {lineno}: malformed header {line!r}")
             n, m = _int(parts[2], lineno), _int(parts[3], lineno)
-            if n < 1 or m < 0:
+            if n < 0 or m < 0:
                 raise InputError(f"line {lineno}: bad sizes in header")
         elif parts[0] == "e":
             if n is None:

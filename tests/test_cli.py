@@ -22,6 +22,11 @@ class TestGraphFormat:
         for g in (triangle(), petersen(), Multigraph.build(1, [(0, 0)])):
             assert parse_graph(format_graph(g)) == g
 
+    def test_roundtrip_zero_vertices(self):
+        g = Multigraph.build(0, [])
+        assert format_graph(g) == "p nzf 0 0\n"
+        assert parse_graph(format_graph(g)) == g
+
     def test_comments_ignored(self):
         assert parse_graph("c hello\n" + TRIANGLE) == triangle()
 
@@ -46,7 +51,7 @@ class TestGraphFormat:
         ("p nzf 2 1\ne 0 one\n", "line 2: expected an integer, got 'one'"),
         ("c by hand\np nzf 2 1\nc the edge:\n\ne 0 z\n", "line 5: expected an integer, got 'z'"),
         ("p nzf 3\n", "line 1: malformed header 'p nzf 3'"),
-        ("p nzf 0 0\n", "line 1: bad sizes in header"),
+        ("p nzf -1 0\n", "line 1: bad sizes in header"),
         ("c nothing else\n", "missing 'p nzf' header"),
         ("p nzf 3 3\ne 0 1\n", "header promises 3 edges, file has 1"),
         ("p nzf 2 1\ne 0 5\n", "edge 0: endpoint out of range (0, 5) with n=2"),
@@ -140,6 +145,13 @@ class TestSolveCommand:
         gfile = tmp_path / "g.nzf"
         gfile.write_text("p nzf nope\n")
         assert main(["solve", str(gfile)]) == 1
+
+    def test_zero_vertices_exits_1(self, tmp_path, capsys):
+        # the file is valid; the default root 0 is not a vertex of it
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text("p nzf 0 0\n")
+        assert main(["solve", str(gfile)]) == 1
+        assert capsys.readouterr().err == "error: unknown vertex id 0 (n=0)\n"
 
 
 class TestVerifyCommand:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sixflow import (
+    InternalCheckError,
     Multigraph,
     StructuralError,
     bridges,
@@ -13,7 +14,7 @@ from sixflow import (
     two_edge_disjoint_paths,
     verify_rooted,
 )
-from sixflow.connectivity import partition_at_bridge
+from sixflow.connectivity import partition_at_bridge, walk_part
 from sixflow.testkit import random_2ec_multigraph
 
 from conftest import brute_force_bridges, small_graphs
@@ -224,3 +225,35 @@ class TestTwoEdgeDisjointPaths:
     def test_properties(self, n, ears, seed):
         g = random_2ec_multigraph(n, ears, seed)
         _check_even_connected(g, two_edge_disjoint_paths(g, 0, n - 1), 0, n - 1)
+
+
+class TestWalkPart:
+    # K4: edges 0 = (0, 1), 1 = (0, 2), 2 = (0, 3), 3 = (1, 2), 4 = (1, 3),
+    # 5 = (2, 3)
+
+    def test_tree_in_edge_id_order(self, k4):
+        # off edges 2 and 3, K4 is the 4-cycle 0-1-3-2
+        placed = [False] * 4
+        tree, edges = walk_part(k4.undirected_adj(), 1, {2, 3}, placed)
+        assert tree == [(1, -1), (0, 0), (3, 4), (2, 1)]
+        assert edges == {0, 1, 4, 5}
+        assert placed == [True] * 4
+
+    def test_enters_no_placed_vertex(self, k4):
+        adj = k4.undirected_adj()
+        assert walk_part(adj, 0, set(), [True, False, False, False]) == ([], frozenset())
+        # off the edges at 3, K4 is the triangle 0, 1, 2
+        tree, edges = walk_part(adj, 2, {2, 4, 5}, [False, False, False, True])
+        assert tree == [(2, -1), (0, 1), (1, 3)]
+        assert edges == {0, 1, 3}
+        # off edges 1, 3 and 5, K4 is the triangle 0, 1, 3 with 3 placed:
+        # edges 2 and 4 are followed from 0 and 1, and 3 is never entered
+        tree, edges = walk_part(adj, 0, {1, 3, 5}, [False, False, False, True])
+        assert tree == [(0, -1), (1, 0)]
+        assert edges == {0, 2, 4}
+
+    def test_odd_vertex(self, k4):
+        # off edges 0, 1, 2 and 5, edges 3 and 4 leave 2 and 3 with odd degree
+        with pytest.raises(InternalCheckError) as exc:
+            walk_part(k4.undirected_adj(), 1, {0, 1, 2, 5}, [False] * 4)
+        assert str(exc.value) == "path union has a vertex of odd degree"

@@ -133,10 +133,28 @@ class TestTraceShape:
         assert verify_rooted(g, u, f)
 
 
+def bfs_tree(g, edges, start):
+    """The BFS tree over ``edges`` from ``start``, neighbours by edge id, as
+    (vertex, edge to its parent) in BFS order."""
+    at = {}  # vertex -> (edge id, other end), by edge id
+    for eid in sorted(edges):
+        t, h = g.endpoints(eid)
+        at.setdefault(t, []).append((eid, h))
+        at.setdefault(h, []).append((eid, t))
+    tree, seen = [(start, -1)], {start}
+    for v, _ in tree:
+        for eid, w in at.get(v, []):
+            if w not in seen:
+                seen.add(w)
+                tree.append((w, eid))
+    return tree
+
+
 def check_parts(g, u):
     """Every part one bridgeless step at u would contract is even, connected
     in G - u, free of u, disjoint from the others, and reached by at least
-    two root edges; every component of G - u gets a part."""
+    two root edges, and its tree is the BFS over its edges from its smallest
+    vertex, neighbours by edge id; every component of G - u gets a part."""
     block, comp, _ = partition_at_bridge(g, u)
     if block is not None or g.n == 1:
         return
@@ -144,22 +162,19 @@ def check_parts(g, u):
                   if (t == u) != (h == u)]
     parts, _ = construct._choose_parts(g, u, comp, root_edges)
     taken = set()
-    for verts, edges in parts:
+    for tree, edges in parts:
+        verts = {v for v, _ in tree}
         deg = dict.fromkeys(verts, 0)
-        reach = {v: {v} for v in verts}  # vertex -> its piece, merged along edges
         for eid in edges:
             t, h = g.endpoints(eid)
-            assert t != h and u not in (t, h)
-            deg[t] = deg.get(t, 0) + 1
-            deg[h] = deg.get(h, 0) + 1
-            piece = reach.setdefault(t, {t}) | reach.setdefault(h, {h})
-            for v in piece:
-                reach[v] = piece
+            assert t != h and {t, h} <= verts
+            deg[t] += 1
+            deg[h] += 1
         assert all(d % 2 == 0 for d in deg.values())
-        assert len(reach[verts[0]]) == len(deg)
-        assert u not in deg and taken.isdisjoint(deg)
-        taken |= deg.keys()
-        assert sum(w in deg for _, w in root_edges) >= 2
+        assert tree == bfs_tree(g, edges, min(verts))
+        assert u not in verts and taken.isdisjoint(verts)
+        taken |= verts
+        assert sum(w in verts for _, w in root_edges) >= 2
     assert {comp[v] for v in taken} == {comp[w] for _, w in root_edges}
 
 
@@ -319,41 +334,40 @@ class TestBridgelessChecksFire:
         assert self.first_step(g, depth=1) == INSTANCE_MESSAGE
 
     @staticmethod
-    def inject(monkeypatch, *parts):
-        # the chooser returns the given parts, each (vertices, edges)
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [
-            (verts, frozenset(edges)) for verts, edges in parts])
+    def inject(monkeypatch, path_union):
+        # no even part, so G - root falls back to the given path union
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
+        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
+                            lambda g, x, y, skip: frozenset(path_union))
 
     # On K4 at root 0, G - 0 is the triangle 1, 2, 3 (edges 3 = (1, 2),
     # 4 = (1, 3), 5 = (2, 3)), and each of its vertices has one root edge.
 
-    def test_odd_path_union(self, k4, monkeypatch):
-        # edges 3 and 4 leave 2 and 3 with odd degree
-        self.inject(monkeypatch, ([1, 2, 3], {3, 4}))
-        assert self.first_step(k4) == "path union has a vertex of odd degree"
-
     def test_odd_fallback(self, k4, monkeypatch):
-        # no part, so the triangle falls back to the path union from 1 to 2
-        self.inject(monkeypatch)
-        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda g, x, y, skip: frozenset({3, 4}))
+        # the path union of 1 and 2: edges 3 and 4 leave 2 and 3 odd
+        self.inject(monkeypatch, {3, 4})
         assert self.first_step(k4) == "path union has a vertex of odd degree"
 
     def test_part_at_the_root(self, k4, monkeypatch):
-        self.inject(monkeypatch, ([0, 1], set()))
-        assert self.first_step(k4) == "path union touches the root"
+        # the triangle 0-1-2 holds the root edges 0 and 1; no walk enters 0
+        self.inject(monkeypatch, {0, 1, 3})
+        assert self.first_step(k4) == "path union did not contract to a single vertex"
 
-    def test_overlapping_parts(self, k4, monkeypatch):
-        self.inject(monkeypatch, ([1, 2, 3], {3, 4, 5}), ([3], set()))
-        assert self.first_step(k4) == "contracted parts overlap"
+    def test_root_edge_walked_from_its_far_end(self, k4, monkeypatch):
+        # at root 3 the path union of 0 and 1 is the triangle 0-1-3: the
+        # walk from 0 follows edges 0, 2 and 4 but never enters the root
+        self.inject(monkeypatch, {0, 2, 4})
+        assert self.first_step(k4, u=3) == "path union did not contract to a single vertex"
 
     def test_part_with_one_spoke(self, k4, monkeypatch):
-        self.inject(monkeypatch, ([1], set()))
+        # a walked one-vertex part with its one root edge
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [
+            ([(1, -1)], frozenset())])
         assert self.first_step(k4) == "fewer than two root edges reach the path union"
 
     def test_disconnected_path_union(self, k4, monkeypatch):
         # an empty (so even) edge set leaves 1 and 2 in two pieces
-        self.inject(monkeypatch, ([1, 2], set()))
+        self.inject(monkeypatch, set())
         assert self.first_step(k4) == "path union did not contract to a single vertex"
 
     # G - 0 is a theta graph: 1 and 2, the odd vertices, are joined through

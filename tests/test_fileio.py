@@ -65,7 +65,7 @@ def reference_parse_graph(text):
             if len(parts) != 4 or parts[1] != "nzf":
                 raise InputError(f"line {lineno}: malformed header {line!r}")
             n, m = _int(parts[2], lineno), _int(parts[3], lineno)
-            if n < 1 or m < 0:
+            if n < 0 or m < 0:
                 raise InputError(f"line {lineno}: bad sizes in header")
         elif parts[0] == "e":
             if n is None:
