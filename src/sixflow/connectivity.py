@@ -315,36 +315,31 @@ def two_edge_disjoint_paths(
     if x == y:
         return frozenset()
     adj = g.undirected_adj()
-    used: dict[int, int] = {}  # eid -> +1 traversed tail->head, -1 reverse
+    used: dict[int, int] = {}  # eid -> the vertex the flow leaves it from
 
     def augment() -> bool:
-        prev: dict[int, tuple[int, int, int]] = {x: (-1, -1, 0)}
+        prev: dict[int, tuple[int, int]] = {x: (-1, -1)}
         if skip is not None:
-            prev[skip] = (-1, -1, 0)  # seen already, so never entered
+            prev[skip] = (-1, -1)  # seen already, so never entered
         queue = deque([x])
         while queue:
             v = queue.popleft()
             if v == y:
                 break
             for eid, w in adj[v]:
-                if w in prev:
-                    continue
-                t, _ = g.endpoints(eid)
-                d = +1 if t == v else -1
-                have = used.get(eid)
-                if have is None or have == -d:
-                    prev[w] = (v, eid, d)
+                if w not in prev and used.get(eid, w) == w:
+                    prev[w] = (v, eid)
                     queue.append(w)
         if y not in prev:
             return False
-        v = y
-        while v != x:
-            pv, eid, d = prev[v]
-            if used.get(eid) == -d:
+        w = y
+        while w != x:
+            v, eid = prev[w]
+            if used.get(eid) == w:
                 del used[eid]
             else:
-                used[eid] = d
-            v = pv
+                used[eid] = v
+            w = v
         return True
 
     for _ in range(2):
@@ -365,4 +360,4 @@ def two_edge_disjoint_paths(
             if w not in reached:
                 reached.add(w)
                 stack.append(w)
-    return frozenset(eid for eid in used if g.endpoints(eid)[0] in reached)
+    return frozenset(eid for eid, v in used.items() if v in reached)

@@ -23,13 +23,13 @@ vertices. Otherwise two cases:
   the union of two edge-disjoint paths between the far ends of its first
   two root edges. Contract every part together with its root edges (its
   spokes), all at once, building the child straight from the parts in one
-  pass over the edges; solve, and extend back in two stages, part by part.
-  The child's edges at the parts give the f3 excess at each part vertex,
-  and each part's spokes get nonzero f3 that cancels the part's total.
-  Then f3 on the part follows by conservation, forced leaf-upward over the
-  BFS tree of the one walk that found the part, and f2 = 1 on the whole
-  part (every vertex has even degree in it, so mod-2 conservation
-  survives). The extension changes only the edges at the root and parts.
+  pass over the edges; solve, and extend back one part at a time. The
+  child's edges at the parts give the f3 excess at each part vertex. A
+  part's spokes get nonzero f3 that cancels the part's total; then f3 on
+  the part follows by conservation, forced leaf-upward over the BFS tree
+  of the one walk that found the part, and f2 = 1 on the whole part (every
+  vertex has even degree in it, so mod-2 conservation survives). The
+  extension changes only the edges at the root and parts.
   On ear graphs, grids and doubled cycles a part swallows most of its
   component, so the recursion is a few levels deep.
 
@@ -65,7 +65,7 @@ from .connectivity import (
     walk_part,
 )
 from .errors import InputError, InternalCheckError
-from .flows import GroupFlow, negate_f3, verify_flow, verify_rooted
+from .flows import GroupFlow, negate_f3, verify_rooted
 from .multigraph import Multigraph
 
 
@@ -120,7 +120,8 @@ def solve(
     Deterministic in (g, u). Raises StructuralError naming a bridge or a
     disconnection when g is not 2-edge-connected. Every recursed instance is
     checked for 2-edge-connectivity too, always, off the DFS its step runs
-    anyway. With debug=True every intermediate flow is re-verified.
+    anyway. With debug=True every instance's flow is re-verified, and each
+    bridgeless child is checked against ``contract``.
     """
     g._check_vertex(u)
     trace = ConstructionTrace()
@@ -262,23 +263,25 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     builds the child, in which every part and u are one vertex, the child's
     root. The extension changes no value off the root and the parts: the
     child's edges at its root must carry f2 = 0, and give each part vertex's
-    f3 excess, which the spokes' values and then f3 forced over each part's
-    tree cancel. G/parts is built only in debug mode, to re-verify it.
+    f3 excess, which the part's spokes and then f3 forced over its tree
+    cancel, one part after another. Debug mode checks the child against
+    ``contract``; the finished flow is checked on G by ``_solve_task``.
     """
     adj = g.undirected_adj()
     parts, fallbacks = _choose_parts(g, u, comp, adj[u])
     part = [-1] * g.n  # index of v's part, -1 off the parts
-    contracted = set()  # every part's edges
+    removed = set()  # every part's edges, then every spoke
     for i, (tree, edges) in enumerate(parts):
         for v, _ in tree:
             part[v] = i
-        contracted |= edges
+        removed |= edges
+    part_edges = len(removed)
     spoke_ends = [[] for _ in parts]  # per part (edge id, part vertex, +1 if it enters)
     for eid, w in adj[u]:
         if part[w] >= 0:
             spoke_ends[part[w]].append((eid, w, 1 if g.endpoints(eid)[1] == w else -1))
+            removed.add(eid)
     _check(min(map(len, spoke_ends)) >= 2, "fewer than two root edges reach the path union")
-    spokes = frozenset(eid for at_part in spoke_ends for eid, _, _ in at_part)
 
     # G/parts/spokes, numbered as ``contract`` numbers it: u and every part
     # vertex are one vertex, the child's root, at the place of the smallest
@@ -288,15 +291,13 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     image = [u2] * g.n
     for i, v in enumerate(kept):
         image[v] = i + (v > u2)
-    removed = contracted | spokes
     g2 = Multigraph(len(kept) + 1, {eid: (image[t], image[h])
                                     for eid, (t, h) in g.arcs() if eid not in removed})
     if debug:
-        g1, _ = g.contract(contracted)
         _check(g2 == g.contract(removed)[0], "bridgeless child differs from the contraction")
     trace.steps.append(BridgelessStep(
         depth=depth, root_edges=(spoke_ends[0][0][0], spoke_ends[0][1][0]),
-        contracted_sizes=(len(contracted), len(spokes)),
+        contracted_sizes=(part_edges, len(removed) - part_edges),
         parts=len(parts), fallbacks=fallbacks,
     ))
 
@@ -315,23 +316,19 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
             exc[head] += f3
     _check(not f2_at_root, "f2 support touches the root or the contracted path vertex")
 
-    # Stage 1: per part nonzero f3 with f2 = 0 across its parallel spoke
-    # class, cancelling the part's total excess.
-    for (tree, _), at_part in zip(parts, spoke_ends):
+    # Per part: nonzero f3 with f2 = 0 across its parallel spoke class,
+    # cancelling the part's total excess; then f2 = 1 on the part, and f3 on
+    # it by conservation, forced leaf-upward over its BFS tree, every other
+    # part edge keeping f3 = 0. A part's values touch only its own vertices.
+    for (tree, edges), at_part in zip(parts, spoke_ends):
         values = extend_nonzero_parallel(
             -sum(exc[v] for v, _ in tree) % 3, len(at_part),
             [sign for _, _, sign in at_part])
         for (eid, v, sign), val in zip(at_part, values):
+            _check(val != 0, "a spoke edge lost its f3 value")
             flow[eid] = (0, val)
             exc[v] += sign * val
-
-    if debug:
-        _check(verify_flow(g1, flow), "spoke extension broke conservation")
-
-    # Stage 2: f2 = 1 on every part, and f3 on it by conservation, forced
-    # leaf-upward over the part's BFS tree; every other part edge keeps f3 = 0.
-    flow.update(dict.fromkeys(contracted, (1, 0)))
-    for tree, _ in parts:
+        flow.update(dict.fromkeys(edges, (1, 0)))
         for v, eid in reversed(tree[1:]):
             t, h = g.endpoints(eid)
             val = (exc[v] if t == v else -exc[v]) % 3
@@ -339,7 +336,6 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
             exc[h] += val
             exc[t] -= val
         _check(exc[tree[0][0]] % 3 == 0, "contracted component has nonzero total excess")
-    _check(all(flow[eid][1] != 0 for eid in spokes), "a spoke edge lost its f3 value")
     return flow
 
 

@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from sixflow import InputError, Multigraph
+from sixflow import InputError, InternalCheckError, Multigraph, cli
 from sixflow.cli import main
 from sixflow.fileio import (
     format_flow,
@@ -15,6 +16,9 @@ from conftest import petersen, triangle
 
 TRIANGLE = "p nzf 3 3\ne 0 1\ne 1 2\ne 2 0\n"
 PATH = "p nzf 3 2\ne 0 1\ne 1 2\n"
+# (1, 1) on every edge of the triangle 0->1->2->0: a nowhere-zero flow, in
+# Z6 and as integers, but f2 = 1 at the root
+TRIANGLE_FLOW = "s SOLUTION root=0\nf 0 0 1 1 1 1 1\nf 1 1 2 1 1 1 1\nf 2 2 0 1 1 1 1\n"
 
 
 class TestGraphFormat:
@@ -84,6 +88,16 @@ class TestFlowFormat:
         doc = parse_flow(text)
         assert parse_flow(format_flow(doc, "machine")) == doc
 
+    def test_unknown_format(self):
+        with pytest.raises(InputError) as exc:
+            format_flow(parse_flow(TRIANGLE_FLOW), "xml")
+        assert str(exc.value) == "unknown format 'xml'"
+
+    def test_malformed_json(self):
+        with pytest.raises(InputError) as exc:
+            parse_flow("{")
+        assert str(exc.value).startswith("malformed machine-readable flow file: ")
+
     def test_consistency_checked_on_read(self):
         # z6 column inconsistent with (f2, f3)
         bad = "s SOLUTION root=0\nf 0 0 1 0 1 3 4\n"
@@ -145,6 +159,30 @@ class TestSolveCommand:
         gfile = tmp_path / "g.nzf"
         gfile.write_text("p nzf nope\n")
         assert main(["solve", str(gfile)]) == 1
+
+    def test_graph_from_stdin(self, tmp_path, capsys, monkeypatch):
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(TRIANGLE)
+        assert main(["solve", str(gfile)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
+        assert main(["solve", "-"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_unreadable_graph_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.nzf"
+        assert main(["solve", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(g, u, debug=False):
+            raise InternalCheckError("a spoke edge lost its f3 value")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(TRIANGLE)
+        assert main(["solve", str(gfile)]) == 2
+        assert capsys.readouterr().err == "internal error: a spoke edge lost its f3 value\n"
 
     def test_zero_vertices_exits_1(self, tmp_path, capsys):
         # the file is valid; the default root 0 is not a vertex of it
@@ -220,6 +258,37 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:") and "99" in captured.err
         assert "ok" not in captured.out
 
+    @pytest.fixture
+    def triangle_files(self, tmp_path):
+        gfile = tmp_path / "t.nzf"
+        gfile.write_text(TRIANGLE)
+        return str(gfile), tmp_path / "t.flow"
+
+    def test_zero_value_exits_1(self, triangle_files, capsys):
+        # no int6 in +-1..5 is 0 (mod 6), so no flow file can carry (0, 0)
+        gfile, ffile = triangle_files
+        ffile.write_text(TRIANGLE_FLOW.replace("f 1 1 2 1 1 1 1", "f 1 1 2 0 0 0 1"))
+        assert main(["verify", gfile, str(ffile), "--mode", "group"]) == 1
+        assert capsys.readouterr().err == (
+            "error: edge 1: int6 value 1 not congruent to z6 0\n")
+
+    def test_rooted_violation_exits_3(self, triangle_files, capsys):
+        gfile, ffile = triangle_files
+        ffile.write_text(TRIANGLE_FLOW)
+        for mode in ("group", "k6"):
+            assert main(["verify", gfile, str(ffile), "--mode", mode]) == 0
+            assert capsys.readouterr().out == "ok\n"
+        assert main(["verify", gfile, str(ffile), "--mode", "theorem2"]) == 3
+        assert capsys.readouterr().out == (
+            "verification failed: rooted condition violated at edge 0\n")
+
+    def test_k6_violation_exits_3(self, triangle_files, capsys):
+        gfile, ffile = triangle_files
+        ffile.write_text(TRIANGLE_FLOW.replace("f 0 0 1 1 1 1 1", "f 0 0 1 1 1 1 -5"))
+        assert main(["verify", gfile, str(ffile), "--mode", "k6"]) == 3
+        assert capsys.readouterr().out == (
+            "verification failed: 6-flow condition violated at vertex 0\n")
+
     def test_mismatched_graph_exits_1(self, solved, tmp_path, capsys):
         _, ffile = solved
         other = tmp_path / "other.nzf"
@@ -256,6 +325,12 @@ class TestGenOracleBench:
         out = capsys.readouterr().out
         assert "5 nowhere-zero Z2xZ3 flows" in out
         assert "holds for all roots" in out
+
+    def test_oracle_bridge_exits_2(self, tmp_path, capsys):
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(PATH)
+        assert main(["oracle", str(gfile)]) == 2
+        assert capsys.readouterr().err == "error: oracle requires a 2-edge-connected graph\n"
 
     def test_oracle_guard_exits_2(self, tmp_path, capsys):
         g = Multigraph.build(2, [(0, 1), (1, 0)] * 6)

@@ -526,6 +526,11 @@ class TestExtendNonzeroParallel:
         with pytest.raises(InputError):
             extend_nonzero_parallel(1, 1, [1])
 
+    def test_rejects_orientation_count_mismatch(self):
+        with pytest.raises(InputError) as exc:
+            extend_nonzero_parallel(0, 2, [1])
+        assert str(exc.value) == "orientation count does not match edge count"
+
     @given(st.integers(0, 2), st.integers(2, 8), st.data())
     def test_signed_sum_and_nonzero(self, d, k, data):
         signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))

@@ -30,6 +30,11 @@ class TestBuild:
         with pytest.raises(InputError):
             Multigraph.build(2, [(0, 2)])
 
+    def test_unknown_edge_id(self, triangle):
+        with pytest.raises(InputError) as exc:
+            triangle.endpoints(5)
+        assert str(exc.value) == "unknown edge id 5"
+
     def test_negative_vertex_count(self):
         # format_graph would write it as a header that parse_graph rejects
         with pytest.raises(InputError) as exc:

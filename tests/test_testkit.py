@@ -144,6 +144,11 @@ class TestRandomGenerator:
         g = random_2ec_multigraph(1, 0, 7)
         assert g.n == 1 and g.m == 0
 
+    def test_zero_vertices(self):
+        with pytest.raises(InputError) as exc:
+            random_2ec_multigraph(0, 0, 0)
+        assert str(exc.value) == "vertex count must be positive"
+
     def test_negative_extra_ears(self):
         with pytest.raises(InputError, match="extra ear count must be non-negative"):
             random_2ec_multigraph(5, -3, 0)
