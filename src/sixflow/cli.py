@@ -108,8 +108,7 @@ def _cmd_solve(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     flow, trace = solve(g, args.root, debug=args.debug_verify)
     if args.trace:
-        for step in trace.steps:
-            print(f"c {step}", file=sys.stderr)
+        sys.stderr.writelines(f"c {step}\n" for step in trace.steps)
     int6 = group_flow_to_integer_flow(g, group_flow_to_z6(flow))
     doc = fileio.build_flow_document(g, args.root, flow, int6)
     sys.stdout.write(fileio.format_flow(doc, args.format))
@@ -120,27 +119,22 @@ def _cmd_verify(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     doc = fileio.parse_flow(_read(args.flow))
     if not fileio.flow_matches_graph(doc, g):
-        print("error: flow file does not match the graph's edge set", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("flow file does not match the graph's edge set")
     if not 0 <= doc.root < g.n:
         raise InputError(f"flow root {doc.root} is not a vertex of the graph (n={g.n})")
     if args.mode == "group":
-        v = flow_violation(g, doc.group_flow())
-        if v is not None:
-            print(f"verification failed: conservation broken at vertex {v}")
-            return EXIT_VERIFY
+        witness = flow_violation(g, doc.group_flow())
+        label = "conservation broken"
     elif args.mode == "theorem2":
         witness = rooted_violation(g, doc.root, doc.group_flow())
-        if witness is not None:
-            kind, which = witness
-            print(f"verification failed: rooted condition violated at {kind} {which}")
-            return EXIT_VERIFY
+        label = "rooted condition violated"
     else:  # k6
         witness = k_flow_violation(g, doc.integer_flow(), 6)
-        if witness is not None:
-            kind, which = witness
-            print(f"verification failed: 6-flow condition violated at {kind} {which}")
-            return EXIT_VERIFY
+        label = "6-flow condition violated"
+    if witness is not None:
+        kind, which = witness
+        print(f"verification failed: {label} at {kind} {which}")
+        return EXIT_VERIFY
     print("ok")
     return EXIT_OK
 
@@ -154,8 +148,7 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     if not is_2_edge_connected(g):
-        print("error: oracle requires a 2-edge-connected graph", file=sys.stderr)
-        return EXIT_STRUCTURE
+        raise StructuralError("oracle requires a 2-edge-connected graph")
     flows = enumerate_nz_flows(g, "z2xz3", args.guard_edges)
     failed = next((u for u in g.vertices() if not rooted_flows(g, u, flows)), None)
     verdict = "holds for all roots" if failed is None else f"fails for root {failed}"

@@ -3,8 +3,9 @@
 A group flow maps edge id -> (f2, f3) with f2 mod 2 and f3 mod 3, relative
 to the owning graph's orientation. An integer flow maps edge id -> int.
 Verifiers re-derive incidence from the graph, so there is no stale state to
-keep in sync. Each ``*_violation`` function returns a witness, the first
-vertex where conservation fails or the smallest offending edge id, and each
+keep in sync. Each ``*_violation`` function returns None or a witness
+``(kind, id)``: ``("vertex", v)`` for the first vertex where conservation
+fails, ``("edge", eid)`` for the smallest offending edge id. Each
 ``verify_*`` is its yes/no form. ``pair_add`` and ``pair_neg`` are the group
 operations of Z2 x Z3 that the brute-force oracle in ``testkit`` uses.
 """
@@ -19,6 +20,7 @@ from .multigraph import Multigraph
 Pair = tuple[int, int]
 GroupFlow = dict[int, Pair]
 IntegerFlow = dict[int, int]
+Witness = tuple[str, int]
 
 ZERO: Pair = (0, 0)
 
@@ -53,13 +55,13 @@ def _pair_excesses(g: Multigraph, f: GroupFlow) -> tuple[list[int], list[int]]:
     return e2, e3
 
 
-def flow_violation(g: Multigraph, f: GroupFlow) -> Optional[int]:
-    """A vertex where conservation fails, or None if f is a flow."""
+def flow_violation(g: Multigraph, f: GroupFlow) -> Optional[Witness]:
+    """The first vertex where conservation fails, or None if f is a flow."""
     _require_total(g, f)
     e2, e3 = _pair_excesses(g, f)
     for v in range(g.n):
         if e2[v] & 1 or e3[v] % 3:
-            return v
+            return ("vertex", v)
     return None
 
 
@@ -76,13 +78,13 @@ def verify_nowhere_zero(g: Multigraph, f: GroupFlow) -> bool:
     return verify_flow(g, f) and all(f[eid] != ZERO for eid in g.edge_ids)
 
 
-def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[tuple[str, int]]:
+def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[Witness]:
     """Check the rooted condition: nowhere-zero flow with f2 = 0 on every
-    edge at u (loops included). Returns a (kind, id) witness or None."""
+    edge at u (loops included)."""
     g._check_vertex(u)
-    v = flow_violation(g, f)
-    if v is not None:
-        return ("vertex", v)
+    witness = flow_violation(g, f)
+    if witness is not None:
+        return witness
     z = min((eid for eid in g.edge_ids if f[eid] == ZERO), default=None)
     if z is not None:
         return ("edge", z)
@@ -96,10 +98,8 @@ def verify_rooted(g: Multigraph, u: int, f: GroupFlow) -> bool:
     return rooted_violation(g, u, f) is None
 
 
-def k_flow_violation(
-    g: Multigraph, f: IntegerFlow, k: int
-) -> Optional[tuple[str, int]]:
-    """Check a nowhere-zero integer k-flow; witness is a vertex or edge."""
+def k_flow_violation(g: Multigraph, f: IntegerFlow, k: int) -> Optional[Witness]:
+    """Check a nowhere-zero integer k-flow."""
     _require_total(g, f)
     for eid in g.edge_ids:
         if not 0 < abs(f[eid]) <= k - 1:

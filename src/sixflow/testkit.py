@@ -42,6 +42,8 @@ def enumerate_nz_flows(
         raise InputError(f"unknown group {group!r}")
     values, add, neg, zero, limit = _GROUPS[group]
     if guard_edges is not None:
+        if guard_edges < 0:
+            raise InputError("enumeration guard must be non-negative")
         limit = guard_edges
     if g.m > limit:
         raise GuardError(

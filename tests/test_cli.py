@@ -144,7 +144,7 @@ class TestSolveCommand:
         gfile = tmp_path / "g.nzf"
         gfile.write_text(PATH)
         assert main(["solve", str(gfile)]) == 2
-        assert "bridge" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: graph has a bridge: edge 0 (0, 1)\n"
 
     def test_trace_on_a_cycle(self, tmp_path, capsys):
         # G - 0 is the path 1-2-3-4: one cut step, then four two-vertex children
@@ -225,8 +225,10 @@ class TestVerifyCommand:
         bfile = tmp_path / "bad.flow"
         bfile.write_text(format_flow(bad))
         assert main(["verify", gfile, str(bfile), "--mode", "group"]) == 3
-        out = capsys.readouterr().out
-        assert "vertex" in out or "edge" in out
+        # edge 0's new value breaks conservation at both of its ends
+        first = min(doc.tail[0], doc.head[0])
+        assert capsys.readouterr().out == (
+            f"verification failed: conservation broken at vertex {first}\n")
 
     @pytest.mark.parametrize("mode, edit", [
         ("theorem2", lambda p: p.update(root="0")),
@@ -294,6 +296,9 @@ class TestVerifyCommand:
         other = tmp_path / "other.nzf"
         other.write_text(TRIANGLE)
         assert main(["verify", str(other), ffile]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: flow file does not match the graph's edge set\n"
+        assert captured.out == ""
 
 
 class TestGenOracleBench:
@@ -337,6 +342,16 @@ class TestGenOracleBench:
         gfile = tmp_path / "g.nzf"
         gfile.write_text(format_graph(g))
         assert main(["oracle", str(gfile)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 12 edges exceeds the enumeration guard of 10 for z2xz3\n")
+
+    def test_oracle_negative_guard_exits_1(self, tmp_path, capsys):
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text("p nzf 1 0\n")
+        assert main(["oracle", str(gfile), "--guard-edges", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: enumeration guard must be non-negative\n"
+        assert captured.out == ""
 
     def test_bench_rows_deterministic_apart_from_timing(self, capsys):
         assert main(["bench", "--sizes", "10,20", "--seeds", "1,2"]) == 0

@@ -215,10 +215,22 @@ class TestScale:
     # the depth, and whether the flow is rooted.
     SCRIPT = (
         "import json, random, time\n"
-        "from sixflow import Multigraph, random_2ec_multigraph, solve, verify_rooted\n"
+        "from sixflow import (Multigraph, is_2_edge_connected, random_2ec_multigraph, solve,\n"
+        "                     verify_rooted)\n"
         "from sixflow.testkit import flower, grid, with_root_loops\n"
         "def k2(k):\n"
         "    return Multigraph.build(k + 2, [(hub, 2 + i) for i in range(k) for hub in (0, 1)])\n"
+        "def cubic(n):\n"
+        "    # configuration model: pair 3n stubs at random, redrawn until the\n"
+        "    # multigraph is loopless and 2-edge-connected\n"
+        "    while True:\n"
+        "        stubs = [v for v in range(n) for _ in range(3)]\n"
+        "        rng.shuffle(stubs)\n"
+        "        arcs = list(zip(stubs[::2], stubs[1::2]))\n"
+        "        if all(t != h for t, h in arcs):\n"
+        "            g = Multigraph.build(n, arcs)\n"
+        "            if is_2_edge_connected(g):\n"
+        "                return g\n"
         "rng = random.Random(1)\n"
         "g, u = {graph}, {root}\n"
         "t0 = time.perf_counter()\n"
@@ -255,6 +267,7 @@ class TestScale:
         pytest.param("with_root_loops(random_2ec_multigraph(20_000, 10_000, 1), 0, 5_000)", 0,
                      1, 160, id="ear-graph-with-5000-root-loops"),
         pytest.param("grid(300, 300)", 0, 5, 640, id="grid-300-by-300-at-a-corner"),
+        pytest.param("cubic(100_000)", 0, 10, 500, id="random-cubic-of-100000-vertices"),
     ])
     def test_adversarial_family(self, graph, root, max_seconds, max_mb):
         self.solve_alone(graph, root, max_seconds, max_mb)

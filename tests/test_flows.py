@@ -39,7 +39,7 @@ class TestExcess:
         g = Multigraph.build(2, [(0, 1)])
         f = {0: (0, 1)}
         assert _pair_excesses(g, f) == ([0, 0], [-1, 1])
-        assert flow_violation(g, f) == 0
+        assert flow_violation(g, f) == ("vertex", 0)
 
     def test_missing_value(self):
         g = Multigraph.build(2, [(0, 1), (1, 0)])

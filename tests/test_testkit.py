@@ -61,6 +61,9 @@ class TestEnumerateFlows:
         with pytest.raises(GuardError):
             enumerate_nz_flows(triangle, "z2xz3", guard_edges=2)
         assert enumerate_nz_flows(triangle, "z2xz3", guard_edges=3)
+        # a negative guard is bad input, even on an edgeless graph
+        with pytest.raises(InputError, match="^enumeration guard must be non-negative$"):
+            enumerate_nz_flows(Multigraph.build(1, []), "z2xz3", guard_edges=-1)
 
     def test_deterministic_order(self, triangle):
         a = enumerate_nz_flows(triangle)
