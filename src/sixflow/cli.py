@@ -108,6 +108,8 @@ def _cmd_solve(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     flow, trace = solve(g, args.root, debug=args.debug_verify)
     if args.trace:
+        if trace.reduction is not None:
+            sys.stderr.write(f"c {trace.reduction}\n")
         sys.stderr.writelines(f"c {step}\n" for step in trace.steps)
     int6 = group_flow_to_integer_flow(g, group_flow_to_z6(flow))
     doc = fileio.build_flow_document(g, args.root, flow, int6)

@@ -1,6 +1,22 @@
 """Recursive construction of a nowhere-zero Z2 x Z3 flow whose f2 component
 vanishes on every edge at a chosen root vertex.
 
+First, one pass suppresses every vertex other than the root that has
+degree 2 and no loop, the usual first reduction of nowhere-zero-flow
+proofs (Seymour's 1981 proof among them). Each maximal chain x - ... - y
+through such vertices becomes one edge (x, y), named by the chain's
+smallest edge id and running as that edge runs; x = y gives a loop. The
+reduced graph is solved, then each chain edge's (f2, f3) is copied onto
+the chain: (f2, f3) on an edge that runs as the named one does, (f2, -f3)
+on one that runs against it. Every interior vertex then has one edge in
+and one out along the chain, so it conserves; a chain at the root is an
+edge at the root, so it carries f2 = 0; and a chain is a bridge exactly
+when its edge is, so the reduced graph is 2-edge-connected exactly when G
+is. A step never changes the degree of a vertex other than its root, so
+no deeper instance has a vertex to suppress and one pass is enough. A
+cycle or a flower reduces to its root with loops and solves in one step,
+and K2,n at a hub to two vertices.
+
 The recursion contracts pieces of the graph, solves the smaller instances,
 then extends the flow back over the contracted edges. An instance of at
 most two vertices is solved directly: f2 = 0 everywhere, f3 = 1 on loops,
@@ -14,8 +30,7 @@ vertices. Otherwise two cases:
   children, so both give it f2 = 0. The children are solved one after
   another down the block tree, and each is glued to the flow so far along
   the bridge to its parent block, negating the child's f3 if the two
-  disagree: the paper's cut case, applied at every bridge at once. A
-  cycle solves at depth 1.
+  disagree: the paper's cut case, applied at every bridge at once.
 * bridgeless case - in every component C of G - root, take parts: the
   connected components of C - J, for J a T-join of C's odd vertices, that
   at least two root edges reach (``even_parts``). Each part is connected
@@ -43,8 +58,11 @@ The recursion is valid only on 2-edge-connected instances, and a
 contraction of one is again one, so this is the one always-on check of
 it, made at every step; an instance of two vertices reads it off its
 parallel class. At the root a failed check means bad input, and only
-then is G searched again, for the error to name a bridge or a component;
-below the root it is an internal fault.
+then is the input graph searched again, for the error to name a bridge or
+a component of it, not of the reduced graph; below the root it is an
+internal fault. The suppression pass searches nothing: it reads degrees
+off the cached adjacency, and only a chain that closes on itself, a
+separate cycle, sends it to the same search.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -53,6 +71,8 @@ only by memory, never by the interpreter call stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import Optional, Sequence, Union
 
 from .connectivity import (
@@ -96,11 +116,19 @@ class BridgelessStep:
 Step = Union[BaseStep, CutStep, BridgelessStep]
 
 
+@dataclass(frozen=True)
+class Reduction:
+    suppressed: int  # vertices of degree 2 suppressed
+    chains: int  # edges of the reduced graph that stand for chains
+
+
 @dataclass
 class ConstructionTrace:
-    """Audit log of the recursion: one record per instance solved."""
+    """Audit log of the recursion: one record per instance solved, and the
+    degree-2 suppression before it when that suppressed anything."""
 
     steps: list[Step] = field(default_factory=list)
+    reduction: Optional[Reduction] = None
 
     @property
     def depth(self) -> int:
@@ -120,15 +148,17 @@ def solve(
     Deterministic in (g, u). Raises StructuralError naming a bridge or a
     disconnection when g is not 2-edge-connected. Every recursed instance is
     checked for 2-edge-connectivity too, always, off the DFS its step runs
-    anyway. With debug=True every instance's flow is re-verified, and each
-    bridgeless child is checked against ``contract``.
+    anyway. With debug=True every instance's flow is re-verified, each
+    bridgeless child is checked against ``contract``, and the flow expanded
+    over the suppressed chains is verified on g.
     """
     g._check_vertex(u)
     trace = ConstructionTrace()
+    h, hu, chains = _suppress_degree_two(g, u, trace)
 
     # Trampoline: each task is a generator that yields subinstances and
     # receives their flows back, so recursion depth costs no call stack.
-    stack = [_solve_task(g, u, 0, trace, debug)]
+    stack = [_solve_task(h, hu, 0, trace, debug, g)]
     result: Optional[GroupFlow] = None
     while stack:
         try:
@@ -140,19 +170,124 @@ def solve(
             stack.append(child)
             result = None
     assert result is not None
+    for eid, name, same in chains:  # the name's own value is kept as it is
+        pair = result[name]
+        result[eid] = pair if same else (pair[0], -pair[1] % 3)
+    if debug and trace.reduction is not None:
+        _check(verify_rooted(g, u, result), "flow expanded over the chains fails the rooted check")
     return result, trace
 
 
-def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool):
+def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):
+    """G with every vertex but u of degree 2 and no loop suppressed, its
+    root, and the chains' edges; G, u and no edges when there is none to
+    suppress. Instances of at most two vertices are left as they are.
+
+    Each chain edge comes as (edge id, name, same): the name is the chain's
+    smallest edge id, and ``same`` tells whether the edge runs as the named
+    one does. The reduced graph keeps every edge off the chains, and each
+    chain's name as an edge between its ends, in the order of G's edges, so
+    ids stay ascending. It is a copy of G's edges with only the chains and
+    the edges at renumbered vertices changed: a kept vertex keeps its id
+    unless that is past the reduced graph's last vertex.
+
+    Degrees are read off the cached adjacency, which holds no loops, and
+    the edges are read for loops only if some vertex has two neighbour
+    entries and the adjacency holds fewer than two entries per edge. Each
+    chain is walked from one of its ends into flat per-edge lists. A chain
+    that closes on itself is a separate cycle, so G is searched for the
+    error, as ``_solve_task`` does at the root.
+    """
+    if g.n <= 2:
+        return g, u, ()
+    adj = g.undirected_adj()
+    kept = list(map((2).__ne__, map(len, adj)))
+    kept[u] = True
+    if all(kept):
+        return g, u, ()
+    loops = []  # (edge id, its vertex)
+    if sum(map(len, adj)) < 2 * g.m:  # some edge is a loop
+        loops = [(eid, t) for eid, (t, h) in g.arcs() if t == h]
+        for _, v in loops:
+            kept[v] = True
+    suppressed = list(compress(range(g.n), map(not_, kept)))
+    if not suppressed:
+        return g, u, ()
+    # A kept vertex keeps its id if it is below n2, the reduced graph's
+    # vertex count; the others take the suppressed ids below n2, in order.
+    n2 = g.n - len(suppressed)
+    image = list(range(g.n))
+    moved = list(compress(range(n2, g.n), kept[n2:]))
+    for v, w in zip(moved, suppressed):
+        image[v] = w
+    endpoints = g.endpoints
+    # Flat, one entry per chain edge: its id, its chain's name, and whether
+    # it runs as the name does.
+    members, owner, runs = [], [], []
+    chain_edge = {}  # chain name -> its edge in the reduced graph
+    walked = kept[:]
+    for v in suppressed:
+        if walked[v]:
+            continue
+        # back from v to an end x of its chain, then along the chain to y
+        (eid, x), _ = adj[v]
+        while not kept[x]:
+            if x == v:  # round a separate cycle
+                require_2_edge_connected(g)  # raises, naming its component
+                raise InternalCheckError("a cycle of degree-2 vertices is not a component")
+            (e0, w0), (e1, w1) = adj[x]
+            eid, x = (e1, w1) if e0 == eid else (e0, w0)
+        start = len(members)
+        name, y = eid, x
+        while True:
+            t, h = endpoints(eid)
+            members.append(eid)
+            runs.append(t == y)  # from x towards y
+            if eid <= name:
+                name, forward = eid, t == y
+            y = h if t == y else t
+            if kept[y]:
+                break
+            walked[y] = True
+            (e0, w0), (e1, w1) = adj[y]
+            eid = e1 if e0 == eid else e0
+        if not forward:  # the name runs from y to x
+            x, y = y, x
+            runs[start:] = [not r for r in runs[start:]]
+        owner += [name] * (len(members) - start)
+        chain_edge[name] = (image[x], image[y])
+    # Only the chains and the edges at moved vertices change; a dict keeps
+    # the place of a key whose value is replaced, so ids stay ascending.
+    edges = dict(g.arcs())
+    for eid, name in zip(members, owner):
+        if eid != name:
+            del edges[eid]
+    edges.update(chain_edge)
+    for v in moved:
+        for eid, w in adj[v]:
+            if kept[w]:
+                t, h = endpoints(eid)
+                edges[eid] = (image[t], image[h])
+    for eid, v in loops:
+        edges[eid] = (image[v], image[v])
+    trace.reduction = Reduction(suppressed=len(suppressed), chains=len(chain_edge))
+    return Multigraph(n2, edges), image[u], zip(members, owner, runs)
+
+
+def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool,
+                given: Optional[Multigraph] = None):
     """Solve one instance once it is known to be 2-edge-connected: at the
-    root a graph that is not is bad input, below it an internal fault."""
+    root a graph that is not is bad input, below it an internal fault.
+    ``given`` is the input graph that the root instance was reduced from;
+    it, not the reduced graph, is searched for the error."""
     if g.n > 2:
         block, comp, whole = partition_at_bridge(g, u)
     else:  # G - u is one vertex or none, its root edges one parallel class
         whole = g.n == 1 or sum(t != h for _, (t, h) in g.arcs()) >= 2
     if not whole:
         if depth == 0:
-            require_2_edge_connected(g)  # raises, naming a bridge or a component
+            # raises, naming a bridge or a component
+            require_2_edge_connected(g if given is None else given)
         raise InternalCheckError("a component of G - root, or a side of a bridge "
                                  "in it, has too few edges to the root")
     if g.n <= 2:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterator
 
 from .connectivity import is_2_edge_connected
@@ -68,17 +69,20 @@ def enumerate_nz_flows(
 
     def rec(i: int) -> None:
         if i == m:
-            results.append({eid: assignment[j] for j, eid in enumerate(order)})
+            results.append(dict(zip(order, assignment)))
             return
         t, h = ends[i]
+        finish = finish_at[i]
         for val in values:
             assignment[i] = val
             if t != h:
                 old_h, old_t = exc[h], exc[t]
                 exc[h] = add(old_h, val)
                 exc[t] = add(old_t, neg(val))
-            ok = all(exc[v] == zero for v in finish_at[i])
-            if ok:
+            for v in finish:
+                if exc[v] != zero:
+                    break
+            else:
                 rec(i + 1)
             if t != h:
                 exc[h], exc[t] = old_h, old_t
@@ -91,7 +95,11 @@ def enumerate_nz_flows(
 def rooted_flows(g: Multigraph, u: int, flows: list[dict]) -> list[dict]:
     """The flows among ``flows`` with f2 = 0 on every edge at u, loops included."""
     at_u = [eid for eid, (t, h) in g.arcs() if u in (t, h)]
-    return [f for f in flows if all(f[eid][0] == 0 for eid in at_u)]
+    if not at_u:
+        return list(flows)
+    pick = itemgetter(*at_u, at_u[0])  # two keys at least, so always a tuple
+    f2 = itemgetter(0)
+    return [f for f in flows if not any(map(f2, pick(f)))]
 
 
 def enumerate_small_2ec_multigraphs(

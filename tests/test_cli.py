@@ -147,13 +147,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err == "error: graph has a bridge: edge 0 (0, 1)\n"
 
     def test_trace_on_a_cycle(self, tmp_path, capsys):
-        # G - 0 is the path 1-2-3-4: one cut step, then four two-vertex children
+        # vertices 1-4 are suppressed into one chain, a loop at the root,
+        # which the base case solves
         gfile = tmp_path / "g.nzf"
         gfile.write_text(format_graph(Multigraph.build(5, [(i, (i + 1) % 5) for i in range(5)])))
         assert main(["solve", str(gfile), "--root", "0", "--trace"]) == 0
-        assert capsys.readouterr().err.splitlines() == (
-            ["c CutStep(depth=0, blocks=4, bridges=3)"]
-            + ["c BaseStep(depth=1, loop_edges=2)"] * 4)
+        assert capsys.readouterr().err.splitlines() == [
+            "c Reduction(suppressed=4, chains=1)", "c BaseStep(depth=0, loop_edges=1)"]
+
+    def test_trace_without_a_reduction(self, tmp_path, capsys):
+        # K4 has no vertex of degree 2, so the trace holds the steps alone
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(format_graph(Multigraph.build(
+            4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+        assert main(["solve", str(gfile), "--root", "0", "--trace"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("c BridgelessStep(depth=0,")
+        assert not any("Reduction" in line for line in lines)
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         gfile = tmp_path / "g.nzf"

@@ -22,11 +22,10 @@ from sixflow import (
 )
 from sixflow import connectivity, construct
 from sixflow.construct import (
-    BaseStep, BridgelessStep, ConstructionTrace, CutStep, _solve_task)
+    BaseStep, BridgelessStep, ConstructionTrace, CutStep, Reduction, _solve_task)
 from sixflow.connectivity import (
     is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
 from sixflow.testkit import (
-    cycle,
     doubled_cycle,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
@@ -123,13 +122,14 @@ class TestTraceShape:
         assert verify_rooted(g, 0, f)
 
     @pytest.mark.parametrize("u", [0, 1000])
-    def test_cycle_is_one_cut_step(self, u):
-        # G - u is a path: one cut step splits it at every bridge, and every
-        # child has two vertices
+    def test_cycle_is_one_base_step(self, u):
+        # every vertex but u is suppressed into one chain, a loop at u, and
+        # the base case solves u with its loop
         n = 2000
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
         f, trace = solve(g, u)
-        assert trace.depth == 1
+        assert trace.reduction == Reduction(suppressed=n - 1, chains=1)
+        assert trace.steps == [BaseStep(depth=0, loop_edges=1)]
         assert verify_rooted(g, u, f)
 
 
@@ -154,10 +154,11 @@ def check_parts(g, u):
     """Every part one bridgeless step at u would contract is even, connected
     in G - u, free of u, disjoint from the others, and reached by at least
     two root edges, and its tree is the BFS over its edges from its smallest
-    vertex, neighbours by edge id; every component of G - u gets a part."""
+    vertex, neighbours by edge id; every component of G - u gets a part.
+    Returns False, checking nothing, when G - u has a bridge or no vertex."""
     block, comp, _ = partition_at_bridge(g, u)
     if block is not None or g.n == 1:
-        return
+        return False
     root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
                   if (t == u) != (h == u)]
     parts, _ = construct._choose_parts(g, u, comp, root_edges)
@@ -176,6 +177,23 @@ def check_parts(g, u):
         taken |= verts
         assert sum(w in verts for _, w in root_edges) >= 2
     assert {comp[v] for v in taken} == {comp[w] for _, w in root_edges}
+    return True
+
+
+def solved_instances(g, u):
+    """Every (instance, root) that a solve of g at u recurses into, the
+    reduced graph first."""
+    found = []
+    real = construct._solve_task
+
+    def recording(h, hu, *args):
+        found.append((h, hu))
+        return real(h, hu, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "_solve_task", recording)
+        solve(g, u)
+    return found
 
 
 class TestPartChooser:
@@ -199,13 +217,16 @@ class TestPartChooser:
             check_parts(g, u)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 30), st.randoms(use_true_random=False))
+    @given(st.integers(3, 30), st.randoms(use_true_random=False))
     def test_ladders_with_shuffled_ids_every_root(self, k, rng):
+        # G - u of a ladder always has a bridge, so the parts are checked on
+        # the bridgeless instances that its solves recurse into
         arcs = [ends for _, ends in grid(2, k).arcs()]
         rng.shuffle(arcs)
         g = Multigraph.build(2 * k, arcs)
-        for u in g.vertices():
-            check_parts(g, u)
+        checked = sum(check_parts(h, hu) for u in g.vertices()
+                      for h, hu in solved_instances(g, u))
+        assert checked > 0
 
 
 class TestScale:
@@ -273,11 +294,12 @@ class TestScale:
         self.solve_alone(graph, root, max_seconds, max_mb)
 
     def test_cycle_of_100000_vertices(self):
-        # G - u is a path of 99,999 blocks, all children of one cut step
+        # one chain of 99,999 suppressed vertices, a loop at the root: the
+        # reduced graph is one base step
         n = 100_000
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
         f, trace = solve(g, 0)
-        assert trace.depth == 1
+        assert trace.steps == [BaseStep(depth=0, loop_edges=1)]
         assert verify_rooted(g, 0, f)
 
     def test_grid_100_by_100(self):
@@ -594,6 +616,27 @@ class TestInputCheck:
             rejected += not is_2_edge_connected(g)
         assert rejected > 1000
 
+    def test_bridges_only_on_a_suppressed_chain(self):
+        # two triangles joined by the path 2-3-4-5, whose three edges are the
+        # bridges: 3 and 4 are suppressed, so the reduced graph has one
+        # bridge, the chain's edge 3, and the error names G's edge 3
+        g = Multigraph.build(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                                 (5, 6), (6, 7), (7, 5)])
+        for u in g.vertices():
+            self.check(g, u)
+        with pytest.raises(StructuralError, match=r"^graph has a bridge: edge 3 \(2, 3\)$"):
+            solve(g, 0)
+
+    def test_separate_cycle_of_degree_two_vertices(self):
+        # K4 on 0-3 and the cycle 4-5-6: every vertex of the cycle is
+        # suppressed, and the chain walked from 4 comes back to 4
+        g = Multigraph.build(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                 (4, 5), (5, 6), (6, 4)])
+        for u in g.vertices():
+            self.check(g, u)
+        with pytest.raises(StructuralError, match=r"vertices \[0, 1, 2, 3\] form a separate"):
+            solve(g, 0)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 15), st.integers(0, 10 ** 6), st.data())
     def test_ear_graphs_less_one_edge(self, n, ears, seed, data):
@@ -633,19 +676,37 @@ class TestOneSearchPerStep:
         assert None not in calls  # every search skips its instance's root
         return sum(not isinstance(step, BaseStep) for step in trace.steps)
 
+    # A 40-cycle with the chords (0, 20) and (10, 30): the suppression pass
+    # leaves K4 on 0, 10, 20, 30 (and a root of degree 2 with it), which
+    # still takes a search per step, and the pass itself takes none.
+    CHORDED = [(i, (i + 1) % 40) for i in range(40)] + [(0, 20), (10, 30)]
+
+    def families(self):
+        return [Multigraph.build(40, self.CHORDED), doubled_cycle(30), grid(7, 7),
+                petersen(), random_2ec_multigraph(400, 200, 5)]
+
     def test_every_family(self, searches):
-        graphs = [cycle(40), doubled_cycle(30), grid(7, 7), petersen(),
-                  random_2ec_multigraph(400, 200, 5), random_2ec_multigraph(60, 500, 9)]
+        graphs = self.families() + [random_2ec_multigraph(60, 500, 9)]
         for g in graphs:
-            for u in (0, g.n // 2):
+            for u in (0, 5, g.n // 2):
                 assert self.steps(g, u, searches) == len(searches) > 0
 
     def test_debug_mode_adds_no_search(self, searches):
-        graphs = [cycle(40), doubled_cycle(30), grid(7, 7), petersen(),
-                  random_2ec_multigraph(400, 200, 5)]
-        for g in graphs:
-            for u in (0, g.n // 2):
+        for g in self.families():
+            for u in (0, 5, g.n // 2):
                 assert self.steps(g, u, searches, debug=True) == len(searches) > 0
+
+    def test_suppression_adds_no_search(self, searches):
+        # at root 5 the root's segment of the cycle is two chains
+        g = Multigraph.build(40, self.CHORDED)
+        for u, reduction in ((0, Reduction(36, 4)), (5, Reduction(35, 5))):
+            for debug in (False, True):
+                searches.clear()
+                f, trace = solve(g, u, debug=debug)
+                assert verify_rooted(g, u, f)
+                assert trace.reduction == reduction
+                assert len(searches) == sum(
+                    not isinstance(step, BaseStep) for step in trace.steps) > 0
 
     def test_path_union_fallback(self, searches, monkeypatch):
         monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])

@@ -18,7 +18,7 @@ from sixflow import (
 from sixflow import construct
 from sixflow.construct import BridgelessStep, CutStep
 from sixflow.flows import pair_add
-from sixflow.testkit import cycle, grid, random_2ec_multigraph
+from sixflow.testkit import cycle, flower, grid, random_2ec_multigraph
 
 
 class TestIsomorphism:
@@ -283,8 +283,8 @@ def test_rounds_read_neighbours_not_parallel_edges():
 def test_every_graph_lists_edges_by_ascending_id(monkeypatch):
     # Connectivity breaks its ties by smallest edge id, reading the edges in
     # the order the graph lists them, so every way of making a graph must
-    # keep ids ascending: build, contract, and both kinds of child the solver
-    # makes.
+    # keep ids ascending: build, contract, the degree-2 suppression, and
+    # both kinds of child the solver makes.
     instances = []
     real = construct._solve_task
 
@@ -294,9 +294,14 @@ def test_every_graph_lists_edges_by_ascending_id(monkeypatch):
 
     monkeypatch.setattr(construct, "_solve_task", recording)
     kinds = set()
-    for g in (cycle(30), grid(6, 6), random_2ec_multigraph(300, 150, 3)):
+    for g in (cycle(30), grid(6, 6), grid(2, 60), flower([3, 1, 4, 1, 5]),
+              random_2ec_multigraph(300, 150, 3), random_2ec_multigraph(200, 0, 4)):
+        first = len(instances)
         _, trace = solve(g, 0)
         kinds |= {type(step) for step in trace.steps}
+        # each graph has a vertex to suppress, so its reduced graph is recorded first
+        assert trace.reduction is not None
+        assert instances[first].n == g.n - trace.reduction.suppressed
         instances.append(g.contract([eid for eid, (t, h) in g.arcs() if (t + h) % 3 == 0])[0])
     assert {CutStep, BridgelessStep} <= kinds
     children = [g for g in instances if g.m > 0]
