@@ -26,15 +26,20 @@ taken alongside (comment lines, whose first token starts with ``c``, are
 dropped first). Every line of a valid file holds a fixed number of tokens
 (4, then 3 per edge, in a graph; 3 for the header and 8 per edge in a
 flow), so the record kinds and the value columns are strided slices of the
-one token list. Each column is converted with ``map(int, ...)`` and checked
-as a whole: line lengths and kinds, counts, endpoint ranges, and the set of
-value tuples. Every file these checks accept is parsed by this pass alone.
-A file they reject is walked again line by line (or edge by edge) only to
-name its first fault, and that walk raises on every path. Writing is one
-format per record, joined once. The machine format is written the same
-way, one template per entry laying out exactly the bytes of
-``json.dumps(..., indent=2, sort_keys=True)``, whose encoder runs in pure
-Python once ``indent`` is set.
+one token list. Each column is checked as a whole: line lengths and kinds,
+counts, endpoint ranges, and the set of value tuples. Every file these
+checks accept is parsed by this pass alone. A file they reject is walked
+again line by line (or edge by edge) only to name its first fault, and
+that walk raises on every path. Each distinct token is converted once: the
+tail and head columns through a memo made for each call, and a flow line's
+four value tokens as one key of a table of the ten valid rows; edge ids are
+unique and keep ``map(int, ...)``. Writing is one format per record, joined
+once, and the part a value row fixes comes from a table too: the text
+line's end, or the machine entry laid out as ``json.dumps(..., indent=2,
+sort_keys=True)`` lays it out (its encoder runs in pure Python once
+``indent`` is set). A table (``FixedTable``) computes a key outside it, say
+``+1`` or a row out of range, on each lookup as ``int`` or ``%`` would, and
+never stores it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import NoReturn
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, IntegerFlow
 from .multigraph import Multigraph
-from .tutte import pair_to_z6
+from .tutte import Z6_OF_PAIR, FixedTable, pair_to_z6
 
 
 # Every (f2, f3, z6, int6) a valid entry can hold: f2 in Z2, f3 in Z3,
@@ -60,6 +65,14 @@ _VALID_VALUES = frozenset(
     for v in range(-5, 6)
     if v and v % 6 == pair_to_z6((a, b))
 )
+
+
+class _Ints(dict):
+    """token -> int(token), each distinct token converted once."""
+
+    def __missing__(self, token):
+        self[token] = value = int(token)
+        return value
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,8 @@ def parse_graph(text: str) -> Multigraph:
         p, nzf, n, m = tokens[:4]
         n, m = int(n), int(m)
         body = tokens[4:]
-        tails, heads = list(map(int, body[1::3])), list(map(int, body[2::3]))
+        ints = _Ints().__getitem__
+        tails, heads = list(map(ints, body[1::3])), list(map(ints, body[2::3]))
     except ValueError:
         _reject_graph(text)
     edges = len(counts) - 1
@@ -155,29 +169,37 @@ def build_flow_document(
     return FlowDocument(
         root, ids, tuple(map(first, ends)), tuple(map(second, ends)),
         tuple(map(first, pairs)), tuple(map(second, pairs)),
-        tuple(map(pair_to_z6, pairs)), tuple(map(int6.__getitem__, ids)),
+        tuple(map(Z6_OF_PAIR.__getitem__, pairs)), tuple(map(int6.__getitem__, ids)),
     )
 
 
 # One machine-format entry, exactly as json.dumps(..., indent=2,
-# sort_keys=True) lays it out, with its fields in sorted key order.
+# sort_keys=True) lays it out, with its fields in sorted key order. Its
+# value row (f2, f3, z6, int6) fills it in once, leaving head, id and tail.
 _JSON_ENTRY = (
-    '    {\n      "f2": %d,\n      "f3": %d,\n      "head": %d,\n      "id": %d,\n'
-    '      "int6": %d,\n      "tail": %d,\n      "z6": %d\n    }'
+    '    {\n      "f2": %d,\n      "f3": %d,\n      "head": %s,\n      "id": %s,\n'
+    '      "int6": %d,\n      "tail": %s,\n      "z6": %d\n    }'
 )
+_JSON_ENTRY_OF_ROW = FixedTable(lambda row: _JSON_ENTRY % (
+    row[0], row[1], "%d", "%d", row[3], "%d", row[2]), _VALID_VALUES)
+# The end of a text ``f`` line, " f2 f3 z6 int6", for each value row.
+_TEXT_SUFFIX_OF_ROW = FixedTable(" %s %s %s %s".__mod__, _VALID_VALUES)
+# A text line's four value tokens, spelled as written above, to their row.
+_ROW_OF_TOKENS = FixedTable(lambda tokens: tuple(map(int, tokens)),
+                            [tuple(map(str, row)) for row in _VALID_VALUES])
 
 
 def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
     if fmt == "machine":
         if not doc.edge_id:
             return '{\n  "edges": [],\n  "root": %d\n}\n' % doc.root
-        rows = zip(doc.f2, doc.f3, doc.head, doc.edge_id, doc.int6, doc.tail, doc.z6)
-        edges = ",\n".join(map(_JSON_ENTRY.__mod__, rows))
+        entries = map(_JSON_ENTRY_OF_ROW.__getitem__, zip(doc.f2, doc.f3, doc.z6, doc.int6))
+        edges = ",\n".join(map(str.__mod__, entries, zip(doc.head, doc.edge_id, doc.tail)))
         return '{\n  "edges": [\n%s\n  ],\n  "root": %d\n}\n' % (edges, doc.root)
     if fmt != "text":
         raise InputError(f"unknown format {fmt!r}")
-    rows = zip(doc.edge_id, doc.tail, doc.head, doc.f2, doc.f3, doc.z6, doc.int6)
-    lines = map("f %s %s %s %s %s %s %s".__mod__, rows)
+    suffixes = map(_TEXT_SUFFIX_OF_ROW.__getitem__, zip(doc.f2, doc.f3, doc.z6, doc.int6))
+    lines = map("f %s %s %s%s".__mod__, zip(doc.edge_id, doc.tail, doc.head, suffixes))
     return "\n".join(chain((f"s SOLUTION root={doc.root}",), lines)) + "\n"
 
 
@@ -191,7 +213,10 @@ def parse_flow(text: str) -> FlowDocument:
         s, solution, root_field = tokens[start:start + 3]
         root = int(root_field[5:])
         body = tokens[:start] + tokens[start + 3:]
-        columns = [tuple(map(int, body[i::8])) for i in range(1, 8)]
+        ints = _Ints().__getitem__
+        ends = [tuple(map(ints, body[i::8])) for i in (2, 3)]
+        rows = list(map(_ROW_OF_TOKENS.__getitem__, zip(*(body[i::8] for i in range(4, 8)))))
+        columns = [tuple(map(int, body[1::8])), *ends, *(zip(*rows) if rows else [()] * 4)]
     except ValueError:
         _reject_flow(text)
     edges = len(counts) - 1

@@ -36,9 +36,10 @@ def pair_neg(a: Pair) -> Pair:
 
 
 def _require_total(g: Multigraph, f: dict) -> None:
-    for eid in g.edge_ids:
-        if eid not in f:
-            raise InputError(f"flow is missing a value for edge {eid}")
+    if f.keys() >= g.edge_ids:
+        return
+    missing = next(eid for eid in g.edge_ids if eid not in f)
+    raise InputError(f"flow is missing a value for edge {missing}")
 
 
 def _pair_excesses(g: Multigraph, f: GroupFlow) -> tuple[list[int], list[int]]:
@@ -71,7 +72,9 @@ def verify_flow(g: Multigraph, f: GroupFlow) -> bool:
 
 def zero_edge(f: GroupFlow) -> Optional[int]:
     """The smallest edge id carrying the zero value, or None."""
-    return min((eid for eid, p in f.items() if p == ZERO), default=None)
+    if ZERO not in f.values():
+        return None
+    return min(eid for eid, p in f.items() if p == ZERO)
 
 
 def verify_nowhere_zero(g: Multigraph, f: GroupFlow) -> bool:
@@ -85,9 +88,8 @@ def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[Witness]:
     witness = flow_violation(g, f)
     if witness is not None:
         return witness
-    z = min((eid for eid in g.edge_ids if f[eid] == ZERO), default=None)
-    if z is not None:
-        return ("edge", z)
+    if ZERO in map(f.__getitem__, g.edge_ids):
+        return ("edge", min(eid for eid in g.edge_ids if f[eid] == ZERO))
     for eid, (t, h) in g.arcs():
         if (t == u or h == u) and f[eid][0] != 0:
             return ("edge", eid)

@@ -6,7 +6,8 @@ value into {1..5} and then cancels vertex excesses six units at a time along
 shift paths until conservation holds everywhere (Tutte 1954). Each shift
 round is one breadth-first search that reads one entry per distinct
 neighbour of the vertices it reaches, however many parallel edges join
-them.
+them. ``Z6_OF_PAIR`` holds the Z6 value of each of the six pairs, so the
+map looks each edge's pair up instead of calling ``pair_to_z6`` per edge.
 """
 
 from __future__ import annotations
@@ -29,8 +30,23 @@ def z6_to_pair(c: int) -> Pair:
     return (c % 2, c % 3)
 
 
+class FixedTable(dict):
+    """``fallback`` over a fixed set of keys, precomputed. A key outside them
+    is computed on each lookup and not stored, so the table never grows."""
+
+    def __init__(self, fallback, keys):
+        super().__init__((key, fallback(key)) for key in keys)
+        self.fallback = fallback
+
+    def __missing__(self, key):
+        return self.fallback(key)
+
+
+Z6_OF_PAIR = FixedTable(pair_to_z6, [(a, b) for a in range(2) for b in range(3)])
+
+
 def group_flow_to_z6(f: GroupFlow) -> Z6Flow:
-    return {e: pair_to_z6(p) for e, p in f.items()}
+    return dict(zip(f, map(Z6_OF_PAIR.__getitem__, f.values())))
 
 
 def group_flow_to_integer_flow(

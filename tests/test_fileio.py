@@ -22,7 +22,8 @@ from sixflow.fileio import (
     parse_flow,
     parse_graph,
 )
-from sixflow.tutte import pair_to_z6
+from sixflow import fileio, tutte
+from sixflow.tutte import FixedTable, pair_to_z6
 
 
 # -- references --------------------------------------------------------------
@@ -393,9 +394,11 @@ class TestWritersMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(multigraphs(), st.data())
     def test_flow_document_and_format(self, g, data):
-        pairs = st.tuples(st.integers(0, 1), st.integers(0, 2))
+        # past the valid rows too, so that rows outside the writers' tables
+        # are pinned against the reference as well
+        pairs = st.tuples(st.integers(-1, 2), st.integers(-1, 4))
         f = {eid: data.draw(pairs) for eid in g.edge_ids}
-        int6 = {eid: data.draw(st.integers(-5, 5)) for eid in g.edge_ids}
+        int6 = {eid: data.draw(st.integers(-7, 7)) for eid in g.edge_ids}
         root = data.draw(st.integers(0, g.n - 1))
         doc = build_flow_document(g, root, f, int6)
         assert doc == reference_build_flow_document(g, root, f, int6)
@@ -419,3 +422,34 @@ class TestWritersMatchReference:
             assert doc == document(root, [])
             for fmt in ("text", "machine"):
                 assert format_flow(doc, fmt) == reference_format_flow(doc, fmt)
+
+
+def table_sizes():
+    """The size of every FixedTable that fileio and tutte hold, by name."""
+    return {
+        f"{module.__name__}.{name}": len(table)
+        for module in (fileio, tutte)
+        for name, table in vars(module).items()
+        if isinstance(table, FixedTable)
+    }
+
+
+class TestTablesDoNotGrow:
+    @settings(max_examples=40, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_rows_and_tokens_outside_the_tables(self, g, data):
+        sizes = table_sizes()  # the six pairs of Z2 x Z3, the ten valid rows
+        assert sorted(set(sizes.values())) == [6, 10]
+        pairs = st.tuples(st.integers(-3, 4), st.integers(-3, 6))
+        f = {eid: data.draw(pairs) for eid in g.edge_ids}
+        int6 = {eid: data.draw(st.integers(-9, 9)) for eid in g.edge_ids}
+        doc = build_flow_document(g, 0, f, int6)
+        tutte.group_flow_to_z6(f)
+        for fmt in ("text", "machine"):
+            outcome(parse_flow, format_flow(doc, fmt))
+        # valid files spelled with "+1", "01", Arabic-Indic or full-width
+        # digits, and files with one value changed
+        outcome(parse_flow, data.draw(render(data.draw(flow_records()))))
+        records = data.draw(mutated(data.draw(flow_records(2)), FLOW_VALUES))
+        outcome(parse_flow, data.draw(render(records)))
+        assert table_sizes() == sizes

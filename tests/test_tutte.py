@@ -17,8 +17,14 @@ from sixflow import (
 )
 from sixflow import construct
 from sixflow.construct import BridgelessStep, CutStep
+from sixflow.fileio import build_flow_document
 from sixflow.flows import pair_add
 from sixflow.testkit import cycle, flower, grid, random_2ec_multigraph
+
+
+# Pair entries: mostly near Z2 x Z3, so that the table's own pairs are drawn
+# often, and any int besides.
+INTS = st.integers(-2, 4) | st.integers()
 
 
 class TestIsomorphism:
@@ -40,6 +46,18 @@ class TestIsomorphism:
         pairs = list(itertools.product(range(2), range(3)))
         for p, q in itertools.product(pairs, pairs):
             assert pair_to_z6(pair_add(p, q)) == (pair_to_z6(p) + pair_to_z6(q)) % 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(INTS, INTS), max_size=20),
+           st.lists(st.integers(0, 40), unique=True, min_size=20, max_size=20))
+    def test_z6_table_agrees_with_pair_to_z6(self, pairs, ids):
+        # the map and the document look pairs up in a table of the six
+        # pairs of Z2 x Z3; any other pair must get what pair_to_z6 gives
+        f = dict(zip(ids, pairs))
+        assert list(group_flow_to_z6(f).items()) == [(e, pair_to_z6(p)) for e, p in f.items()]
+        g = Multigraph.build(1, [(0, 0)] * len(pairs))
+        doc = build_flow_document(g, 0, dict(enumerate(pairs)), dict.fromkeys(g.edge_ids, 1))
+        assert doc.z6 == tuple(map(pair_to_z6, pairs))
 
 
 def brute_force_integer_flows(g, phi):
