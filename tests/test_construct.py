@@ -17,21 +17,25 @@ from sixflow import (
     extend_nonzero_parallel,
     solve,
     verify_flow,
+    verify_k_flow,
     verify_nowhere_zero,
     verify_rooted,
 )
 from sixflow import connectivity, construct
+from sixflow.tutte import group_flow_to_integer_flow, group_flow_to_z6
 from sixflow.construct import (
     BaseStep, BridgelessStep, ConstructionTrace, CutStep, Reduction, _solve_task)
 from sixflow.connectivity import (
     is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
 from sixflow.testkit import (
+    circular_ladder,
     doubled_cycle,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
     grid,
     petersen,
     random_2ec_multigraph,
+    with_root_loops,
 )
 
 from conftest import small_graphs
@@ -227,6 +231,34 @@ class TestPartChooser:
         checked = sum(check_parts(h, hu) for u in g.vertices()
                       for h, hu in solved_instances(g, u))
         assert checked > 0
+
+
+class TestRedoneComponents:
+    """Components of G - root whose first T-join leaves no part."""
+
+    def test_cube_at_root_0(self):
+        # In G - 0 the pairing joins 2 and 6 and leaves 5 and 7 odd, and the
+        # tree toggle then puts 1, 2 and 3 each in a piece of its own: the
+        # four pieces of C - J have one root edge each
+        g = circular_ladder(4)
+        f, trace = solve(g, 0, debug=True)
+        assert trace.steps == [
+            BridgelessStep(depth=0, root_edges=(0, 3), contracted_sizes=(6, 3),
+                           parts=1, fallbacks=1),
+            BaseStep(depth=1, loop_edges=3)]
+        assert verify_rooted(g, 0, f)
+
+    def test_circular_ladders_in_debug_mode(self):
+        graphs = [circular_ladder(k) for k in range(3, 13)]
+        graphs.append(with_root_loops(circular_ladder(4), 0, 2))
+        redone = 0
+        for g in graphs:
+            for u in g.vertices():
+                f, trace = solve(g, u, debug=True)
+                assert verify_rooted(g, u, f)
+                assert verify_k_flow(g, group_flow_to_integer_flow(g, group_flow_to_z6(f)), 6)
+                redone += any(getattr(step, "fallbacks", 0) for step in trace.steps)
+        assert redone > 0
 
 
 class TestScale:
