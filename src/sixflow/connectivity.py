@@ -1,7 +1,7 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
-the 2-edge-connected blocks of G - u, the even, connected parts of G - u
-that two root edges reach, each with the BFS tree of the one walk that
-finds it, and the even, connected edge set through two vertices.
+the 2-edge-connected blocks of G - u, at least one even, connected part
+per component of G - u, each with the BFS tree of the walk that finds it,
+and the even, connected edge set through two vertices that parts may need.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.
@@ -204,8 +204,9 @@ def partition_at_bridge(
 
 def even_parts(
     g: Multigraph, u: int, comp: list[int], root_edges: list[tuple[int, int]]
-) -> list[tuple[list[tuple[int, int]], frozenset[int]]]:
-    """Disjoint even, connected parts of G - u that two root edges reach.
+) -> tuple[list[tuple[list[tuple[int, int]], frozenset[int]]], int]:
+    """Disjoint even, connected parts of G - u that two root edges reach,
+    at least one per component, and how many components were redone.
 
     G - u is read inside G. ``comp`` labels its components (as
     ``partition_at_bridge`` returns them), and ``root_edges`` lists the
@@ -214,71 +215,102 @@ def even_parts(
     G - u, that at least two root edges reach; it is returned as the
     ``walk_part`` (tree, edges) of K from its smallest vertex, the walk
     that finds K. Components come in the order of their first root edge,
-    the parts of each by smallest vertex; a component may give no part.
+    the parts of each by smallest vertex.
 
     J is a T-join of C's odd vertices (Edmonds-Johnson 1973), so C - J is
-    even. It is built over a BFS tree of C from the far end of C's first
-    root edge, neighbours by edge id. Walking in BFS order, each odd vertex
-    first takes the first edge, by id, to an odd neighbour into J. Each
-    vertex still odd then toggles its parent tree edge in J, leaf-upward,
-    which makes the root even as well. Every pass is linear in C but the
-    sort of its vertices.
+    even. It is built over a BFS forest of C from x1, the far end of C's
+    first root edge, neighbours by edge id. Walking in BFS order, each odd
+    vertex first takes the first edge, by id, to an odd neighbour into J.
+    Each vertex still odd then toggles its parent tree edge in J,
+    leaf-upward, which makes each tree's root even as well. Every pass is
+    linear in C but the sort of its vertices.
+
+    A component that gives no part is redone once with J kept off P, the
+    union of two edge-disjoint paths from x1 to x2, the far end of C's
+    second root edge: the forest and the pairing skip P's edges, and a new
+    tree grows from each vertex the earlier trees missed, in the first
+    pass's BFS order. P is even at every vertex, so every component of
+    C - E(P) holds an even number of C's odd vertices, and every tree's root
+    ends even. C - J then contains P, so the piece that holds x1 holds x2.
     """
     adj = g.undirected_adj()
     spokes = [0] * g.n  # root edges per vertex
-    first: dict[int, int] = {}  # component label -> far end of its first root edge
+    ends: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
     for _, w in root_edges:
         spokes[w] += 1
-        first.setdefault(comp[w], w)
-    odd = [(len(a) - k) % 2 == 1 for a, k in zip(adj, spokes)]  # in G - u
-    odd[u] = False
-    up = [-1] * g.n  # BFS tree edge to the parent
+        ends.setdefault(comp[w], []).append(w)
+    odd = [False] * g.n  # in G - u, then in G - u - J
+    up = [-1] * g.n  # BFS forest edge to the parent
     seen = [False] * g.n  # reached by the BFS
     placed = [False] * g.n  # walked into a part
     seen[u] = placed[u] = True  # so no walk enters u
     cut = {eid for eid, _ in root_edges}  # the edges no part walk follows: these and J
     parts = []
-    for s in first.values():
-        seen[s] = True
-        order = [s]
-        for v in order:
-            for eid, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    up[w] = eid
-                    order.append(w)
-        for v in order:
-            if odd[v]:
-                for eid, w in adj[v]:
-                    if odd[w]:
-                        cut.add(eid)
-                        odd[v] = odd[w] = False
-                        break
-        for v in reversed(order[1:]):
-            if odd[v]:
-                eid = up[v]
-                cut ^= {eid}
-                t, h = g.endpoints(eid)
-                odd[t] ^= True
-                odd[h] ^= True
-        for r in sorted(order):
-            if not placed[r]:
-                tree, edges = walk_part(adj, r, cut, placed)
-                if sum(spokes[v] for v, _ in tree) >= 2:
-                    parts.append((tree, edges))
-    return parts
+    redone = 0
+    for x1, x2, *_ in ends.values():
+        p = frozenset()  # the edges the forest and the pairing skip
+        order = [x1]
+        for again in (False, True):
+            roots, order = order, []  # a redo's roots are the first pass's order
+            for r in roots:
+                if seen[r]:
+                    continue
+                seen[r] = True
+                up[r] = -1
+                tree = [r]
+                for v in tree:
+                    odd[v] = (len(adj[v]) - spokes[v]) % 2 == 1
+                    for eid, w in adj[v]:
+                        if not seen[w] and eid not in p:
+                            seen[w] = True
+                            up[w] = eid
+                            tree.append(w)
+                order += tree
+            join = set()  # J
+            for v in order:
+                if odd[v]:
+                    for eid, w in adj[v]:
+                        if odd[w] and eid not in p:
+                            join.add(eid)
+                            odd[v] = odd[w] = False
+                            break
+            for v in reversed(order):
+                if odd[v]:
+                    eid = up[v]
+                    if eid < 0:
+                        raise InternalCheckError("a forest root is left odd")
+                    join ^= {eid}
+                    t, h = g.endpoints(eid)
+                    odd[t] ^= True
+                    odd[h] ^= True
+            cut |= join
+            found = len(parts)
+            for r in sorted(order):
+                if not placed[r]:
+                    tree, edges = walk_part(adj, r, cut, placed)
+                    if sum(spokes[v] for v, _ in tree) >= 2:
+                        parts.append((tree, edges))
+            if len(parts) > found:
+                break
+            if again:
+                raise InternalCheckError("a redone component gives no part")
+            redone += 1
+            p = two_edge_disjoint_paths(g, x1, x2, skip=u)
+            for v in order:
+                seen[v] = placed[v] = False
+            cut -= join
+    return parts, redone
 
 
 def walk_part(adj: list[list[tuple[int, int]]], start: int, cut: AbstractSet[int],
               placed: list[bool]) -> tuple[list[tuple[int, int]], frozenset[int]]:
-    """One BFS from ``start`` along every edge not in ``cut``, neighbours in
-    edge-id order: (tree, edges), the tree as (vertex, edge to its parent)
-    in BFS order from (start, -1), and the edges followed. The walk enters
-    no ``placed`` vertex, not even the start, and places every vertex it
-    enters. Raises InternalCheckError if a walked vertex has odd degree in
-    the followed edges.
+    """One BFS from the unplaced ``start`` along every edge not in ``cut``,
+    neighbours in edge-id order: (tree, edges), the tree as (vertex, edge
+    to its parent) in BFS order from (start, -1), and the edges followed.
+    It enters no ``placed`` vertex and places every vertex it enters.
+    Raises InternalCheckError if a walked vertex has odd degree in them.
     """
-    tree = [] if placed[start] else [(start, -1)]  # read as it grows
+    tree = [(start, -1)]  # read as it grows
     placed[start] = True
     edges = set()
     for v, _ in tree:
@@ -291,7 +323,7 @@ def walk_part(adj: list[list[tuple[int, int]]], start: int, cut: AbstractSet[int
                     placed[w] = True
                     tree.append((w, eid))
         if odd:
-            raise InternalCheckError("path union has a vertex of odd degree")
+            raise InternalCheckError("a part has a vertex of odd degree")
     return tree, frozenset(edges)
 
 

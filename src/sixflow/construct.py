@@ -34,9 +34,9 @@ vertices. Otherwise two cases:
 * bridgeless case - in every component C of G - root, take parts: the
   connected components of C - J, for J a T-join of C's odd vertices, that
   at least two root edges reach (``even_parts``). Each part is connected
-  and even at every vertex; a component with no such part falls back to
-  the union of two edge-disjoint paths between the far ends of its first
-  two root edges. Contract every part together with its root edges (its
+  and even at every vertex; a component with no such part is redone once,
+  with J kept off a union of two edge-disjoint paths, which makes one.
+  Contract every part together with its root edges (its
   spokes), all at once, building the child straight from the parts in one
   pass over the edges; solve, and extend back one part at a time. The
   child's edges at the parts give the f3 excess at each part vertex. A
@@ -45,8 +45,9 @@ vertices. Otherwise two cases:
   of the one walk that found the part, and f2 = 1 on the whole part (every
   vertex has even degree in it, so mod-2 conservation survives). The
   extension changes only the edges at the root and parts.
-  On ear graphs, grids and doubled cycles a part swallows most of its
-  component, so the recursion is a few levels deep.
+  Ear graphs, doubled cycles and grids of three rows or more solve a few
+  levels deep; a 2 x k grid does not, since only the first 4-cycle of each
+  ladder is a part: 2 x 1,000 takes 500 steps, 499 deep (ROADMAP item 3).
 
 Each step reads G - root inside G, with no copy and no renumbering: one
 lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the
@@ -75,15 +76,10 @@ from itertools import compress
 from operator import not_
 from typing import Optional, Sequence, Union
 
-from .connectivity import (
-    bridges,  # not called here; perfbench/spans.py patches it by this name
-    components,  # not called here either; patched by name the same way
-    even_parts,
-    partition_at_bridge,
-    require_2_edge_connected,
-    two_edge_disjoint_paths,
-    walk_part,
-)
+# bridges, components and two_edge_disjoint_paths are not called here:
+# perfbench/spans.py patches each of them by this name
+from .connectivity import (bridges, components, even_parts, partition_at_bridge,
+                           require_2_edge_connected, two_edge_disjoint_paths)
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, negate_f3, verify_rooted
 from .multigraph import Multigraph
@@ -110,7 +106,7 @@ class BridgelessStep:
     root_edges: tuple[int, int]
     contracted_sizes: tuple[int, int]  # (part edges, spokes), over every part
     parts: int
-    fallbacks: int  # parts that are path unions
+    fallbacks: int  # components redone with their T-join kept off a path union
 
 
 Step = Union[BaseStep, CutStep, BridgelessStep]
@@ -358,35 +354,8 @@ def _cut_case(g, u, block, depth, trace, debug):
     return flow
 
 
-def _choose_parts(g, u, comp, root_edges):
-    """The parts one bridgeless step contracts, and how many are fallbacks.
-
-    ``even_parts`` gives the even parts of each component of G - u. A
-    component that gives none falls back to the union P of two edge-disjoint
-    paths between the far ends x, x2 of its first two root edges, listed
-    last, walked along P alone from the smallest of x, x2 and P's ends; the
-    walk must reach them all. Parts are (tree, edges), as from ``walk_part``.
-    """
-    adj = g.undirected_adj()
-    parts = even_parts(g, u, comp, root_edges)
-    covered = {comp[tree[0][0]] for tree, _ in parts}
-    pairs: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
-    for _, w in root_edges:
-        if comp[w] not in covered:
-            pairs.setdefault(comp[w], []).append(w)
-    placed = [v == u for v in range(g.n)]  # so no walk enters u
-    for x, x2, *_ in pairs.values():
-        p = two_edge_disjoint_paths(g, x, x2, skip=u)
-        ends = {x, x2, *(v for eid in p for v in g.endpoints(eid))}
-        off_p = {eid for v in ends for eid, _ in adj[v]}.difference(p)
-        tree, _ = walk_part(adj, min(ends), off_p, placed)
-        _check(len(tree) == len(ends), "path union did not contract to a single vertex")
-        parts.append((tree, p))
-    return parts, len(pairs)
-
-
 def _bridgeless_case(g, u, comp, depth, trace, debug):
-    """Contract every part (``_choose_parts``) together with its spokes, the
+    """Contract every part (``even_parts``) together with its spokes, the
     root edges into it, solve the smaller instance, then extend back part by
     part.
 
@@ -396,14 +365,11 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     disjoint, connected, free of u and even. One pass over u's adjacency
     gives the spokes, at least two per part, and one pass over G's edges
     builds the child, in which every part and u are one vertex, the child's
-    root. The extension changes no value off the root and the parts: the
-    child's edges at its root must carry f2 = 0, and give each part vertex's
-    f3 excess, which the part's spokes and then f3 forced over its tree
-    cancel, one part after another. Debug mode checks the child against
-    ``contract``; the finished flow is checked on G by ``_solve_task``.
+    root. Debug mode checks the child against ``contract``; the finished
+    flow is checked on G by ``_solve_task``.
     """
     adj = g.undirected_adj()
-    parts, fallbacks = _choose_parts(g, u, comp, adj[u])
+    parts, fallbacks = even_parts(g, u, comp, adj[u])
     part = [-1] * g.n  # index of v's part, -1 off the parts
     removed = set()  # every part's edges, then every spoke
     for i, (tree, edges) in enumerate(parts):
@@ -416,7 +382,7 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
         if part[w] >= 0:
             spoke_ends[part[w]].append((eid, w, 1 if g.endpoints(eid)[1] == w else -1))
             removed.add(eid)
-    _check(min(map(len, spoke_ends)) >= 2, "fewer than two root edges reach the path union")
+    _check(min(map(len, spoke_ends)) >= 2, "a part has fewer than two spokes")
 
     # G/parts/spokes, numbered as ``contract`` numbers it: u and every part
     # vertex are one vertex, the child's root, at the place of the smallest
@@ -449,7 +415,7 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
             tail, head = g.endpoints(eid)
             exc[tail] -= f3
             exc[head] += f3
-    _check(not f2_at_root, "f2 support touches the root or the contracted path vertex")
+    _check(not f2_at_root, "f2 support touches the root or a part")
 
     # Per part: nonzero f3 with f2 = 0 across its parallel spoke class,
     # cancelling the part's total excess; then f2 = 1 on the part, and f3 on

@@ -57,7 +57,7 @@ class TestSolveSmall:
     def test_k4(self, k4):
         f, _ = solve(k4, 0)
         assert verify_rooted(k4, 0, f)
-        # G-0 is a bridgeless triangle: the f2 support is the path union,
+        # G-0 is a bridgeless triangle: the f2 support is its one part,
         # and the three root edges carry f2 = 0
         assert all(f[e][0] == 0 for e in (0, 1, 2))
         assert f in enumerate_nz_flows(k4)
@@ -110,10 +110,11 @@ class TestTraceShape:
         assert 0 < trace.depth <= g.n
 
     def test_deep_recursion_uses_no_call_stack(self, monkeypatch):
-        # doubled cycle with every component on the path-union fallback: one
-        # vertex merged per step, depth beyond the interpreter's default
-        # recursion limit
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
+        # doubled cycle with every step contracting only the far end of its
+        # first root edge: one vertex merged per step, depth beyond the
+        # interpreter's default recursion limit
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: (
+            [([(root_edges[0][1], -1)], frozenset())], 0))
         g = doubled_cycle(1200)
         f, trace = solve(g, 0)
         assert trace.depth > 1000
@@ -158,14 +159,25 @@ def check_parts(g, u):
     """Every part one bridgeless step at u would contract is even, connected
     in G - u, free of u, disjoint from the others, and reached by at least
     two root edges, and its tree is the BFS over its edges from its smallest
-    vertex, neighbours by edge id; every component of G - u gets a part.
-    Returns False, checking nothing, when G - u has a bridge or no vertex."""
+    vertex, neighbours by edge id; every component of G - u gets a part, and
+    in a redone component the part that holds the far end x1 of its first
+    root edge also holds x2, that of its second. Returns False, checking
+    nothing, when G - u has a bridge or no vertex."""
     block, comp, _ = partition_at_bridge(g, u)
     if block is not None or g.n == 1:
         return False
     root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
                   if (t == u) != (h == u)]
-    parts, _ = construct._choose_parts(g, u, comp, root_edges)
+    redos = []  # (x1, x2) of each redone component
+    real = connectivity.two_edge_disjoint_paths
+
+    def recording(g, x, y, skip=None):
+        redos.append((x, y))
+        return real(g, x, y, skip=skip)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connectivity, "two_edge_disjoint_paths", recording)
+        parts, redone = connectivity.even_parts(g, u, comp, root_edges)
     taken = set()
     for tree, edges in parts:
         verts = {v for v, _ in tree}
@@ -181,6 +193,10 @@ def check_parts(g, u):
         taken |= verts
         assert sum(w in verts for _, w in root_edges) >= 2
     assert {comp[v] for v in taken} == {comp[w] for _, w in root_edges}
+    assert len(redos) == redone
+    for x1, x2 in redos:
+        assert [w for _, w in root_edges if comp[w] == comp[x1]][:2] == [x1, x2]
+        assert any({x1, x2} <= {v for v, _ in tree} for tree, _ in parts)
     return True
 
 
@@ -247,6 +263,10 @@ class TestRedoneComponents:
                            parts=1, fallbacks=1),
             BaseStep(depth=1, loop_edges=3)]
         assert verify_rooted(g, 0, f)
+
+    def test_part_holds_both_path_ends(self):
+        # the cube's one component at root 0 is redone (above)
+        assert check_parts(circular_ladder(4), 0)
 
     def test_circular_ladders_in_debug_mode(self):
         graphs = [circular_ladder(k) for k in range(3, 13)]
@@ -400,42 +420,27 @@ class TestBridgelessChecksFire:
         g = Multigraph.build(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
         assert self.first_step(g, depth=1) == INSTANCE_MESSAGE
 
-    @staticmethod
-    def inject(monkeypatch, path_union):
-        # no even part, so G - root falls back to the given path union
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
-        monkeypatch.setattr(construct, "two_edge_disjoint_paths",
-                            lambda g, x, y, skip: frozenset(path_union))
+    # On the cube at root 0, G - 0 is one component, its first T-join
+    # leaves no part (``TestRedoneComponents``), and it is redone off the
+    # edge set that two_edge_disjoint_paths gives.
 
-    # On K4 at root 0, G - 0 is the triangle 1, 2, 3 (edges 3 = (1, 2),
-    # 4 = (1, 3), 5 = (2, 3)), and each of its vertices has one root edge.
+    def test_forest_root_left_odd(self, monkeypatch):
+        # the three edges at 5, odd in G - 0, leave 5 alone as its own tree
+        monkeypatch.setattr(connectivity, "two_edge_disjoint_paths",
+                            lambda g, x, y, skip: frozenset({4, 5, 9}))
+        assert self.first_step(circular_ladder(4)) == "a forest root is left odd"
 
-    def test_odd_fallback(self, k4, monkeypatch):
-        # the path union of 1 and 2: edges 3 and 4 leave 2 and 3 odd
-        self.inject(monkeypatch, {3, 4})
-        assert self.first_step(k4) == "path union has a vertex of odd degree"
-
-    def test_part_at_the_root(self, k4, monkeypatch):
-        # the triangle 0-1-2 holds the root edges 0 and 1; no walk enters 0
-        self.inject(monkeypatch, {0, 1, 3})
-        assert self.first_step(k4) == "path union did not contract to a single vertex"
-
-    def test_root_edge_walked_from_its_far_end(self, k4, monkeypatch):
-        # at root 3 the path union of 0 and 1 is the triangle 0-1-3: the
-        # walk from 0 follows edges 0, 2 and 4 but never enters the root
-        self.inject(monkeypatch, {0, 2, 4})
-        assert self.first_step(k4, u=3) == "path union did not contract to a single vertex"
+    def test_redone_component_without_a_part(self, monkeypatch):
+        # no edge to keep J off, so the redo repeats the first pass
+        monkeypatch.setattr(connectivity, "two_edge_disjoint_paths",
+                            lambda g, x, y, skip: frozenset())
+        assert self.first_step(circular_ladder(4)) == "a redone component gives no part"
 
     def test_part_with_one_spoke(self, k4, monkeypatch):
         # a walked one-vertex part with its one root edge
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [
-            ([(1, -1)], frozenset())])
-        assert self.first_step(k4) == "fewer than two root edges reach the path union"
-
-    def test_disconnected_path_union(self, k4, monkeypatch):
-        # an empty (so even) edge set leaves 1 and 2 in two pieces
-        self.inject(monkeypatch, set())
-        assert self.first_step(k4) == "path union did not contract to a single vertex"
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: (
+            [([(1, -1)], frozenset())], 0))
+        assert self.first_step(k4) == "a part has fewer than two spokes"
 
     # G - 0 is a theta graph: 1 and 2, the odd vertices, are joined through
     # 3, 4 and 5. The T-join J is the tree path 1-3-2 (edges 3 and 4), so
@@ -443,7 +448,7 @@ class TestBridgelessChecksFire:
     # and {3} is a component of C - J with one root edge, edge 2. The child
     # keeps edges 2-4, all between the merged root and 3.
     THETA = [(0, 1), (0, 2), (0, 3), (1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 2)]
-    F2_MESSAGE = "f2 support touches the root or the contracted path vertex"
+    F2_MESSAGE = "f2 support touches the root or a part"
 
     def test_child_f2_on_a_root_edge(self):
         g = Multigraph.build(6, self.THETA)
@@ -563,7 +568,8 @@ def after_children(g, *child_flows, u=0):
 
 def test_perfbench_patch_targets_exist():
     # perfbench/spans.py patches these names in place; construct keeps the
-    # imports of bridges and components only so that the patches land
+    # imports of bridges, components and two_edge_disjoint_paths only so
+    # that the patches land
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -740,7 +746,9 @@ class TestOneSearchPerStep:
                 assert len(searches) == sum(
                     not isinstance(step, BaseStep) for step in trace.steps) > 0
 
-    def test_path_union_fallback(self, searches, monkeypatch):
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: [])
-        g = doubled_cycle(30)
-        assert self.steps(g, 0, searches) == len(searches) == 28
+    def test_path_union_fallback(self, searches):
+        # the cube's one component at root 0 is redone, with no second search
+        g = circular_ladder(4)
+        assert self.steps(g, 0, searches) == len(searches) == 1
+        _, trace = solve(g, 0)
+        assert trace.steps[0].fallbacks == 1
