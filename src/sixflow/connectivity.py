@@ -1,7 +1,8 @@
 """Structural subroutines: components, bridges, 2-edge-connectivity,
 the 2-edge-connected blocks of G - u, at least one even, connected part
 per component of G - u, each with the BFS tree of the walk that finds it,
-and the even, connected edge set through two vertices that parts may need.
+and the even edge set through two vertices that a redone component's
+T-join avoids.
 
 Everything here ignores edge orientation and is deterministic: ties are
 broken by smallest edge id, then smallest vertex id.

@@ -263,10 +263,7 @@ class TestRedoneComponents:
                            parts=1, fallbacks=1),
             BaseStep(depth=1, loop_edges=3)]
         assert verify_rooted(g, 0, f)
-
-    def test_part_holds_both_path_ends(self):
-        # the cube's one component at root 0 is redone (above)
-        assert check_parts(circular_ladder(4), 0)
+        assert check_parts(g, 0)
 
     def test_circular_ladders_in_debug_mode(self):
         graphs = [circular_ladder(k) for k in range(3, 13)]
