@@ -16,12 +16,13 @@ with the change.
 
 import hashlib
 import json
+import random
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from sixflow import enumerate_small_2ec_multigraphs, random_2ec_multigraph, solve
+from sixflow import Multigraph, enumerate_small_2ec_multigraphs, random_2ec_multigraph, solve
 from sixflow.fileio import build_flow_document, format_flow
 from sixflow.testkit import circular_ladder, flower, grid, petersen, with_root_loops
 from sixflow.tutte import group_flow_to_integer_flow, group_flow_to_z6
@@ -75,6 +76,18 @@ def family_solves():
             yield g, root
 
 
+def ladder_solves():
+    """``grid(2, k)`` for k = 2..39, arcs shuffled by one seeded generator,
+    at every root."""
+    rng = random.Random(5)
+    for k in range(2, 40):
+        arcs = [ends for _, ends in grid(2, k).arcs()]
+        rng.shuffle(arcs)
+        g = Multigraph.build(2 * k, arcs)
+        for root in g.vertices():
+            yield g, root
+
+
 def formatted(g, root, flow, fmts):
     int6 = group_flow_to_integer_flow(g, group_flow_to_z6(flow))
     doc = build_flow_document(g, root, flow, int6)
@@ -97,6 +110,10 @@ def trace_record(g, root, flow, trace):
     return repr(trace).encode()
 
 
+def flow_and_trace(g, root, flow, trace):
+    return flow_record(g, root, flow, trace) + trace_record(g, root, flow, trace)
+
+
 # group name -> (its suite of solves, the bytes it records per solve)
 GROUPS = {
     "writer": (writer_solves, text_and_machine),
@@ -105,6 +122,7 @@ GROUPS = {
     "c2-text": (criterion_2_solves, text),
     "c2-trace": (criterion_2_solves, trace_record),
     "families-trace": (family_solves, trace_record),
+    "ladders": (ladder_solves, flow_and_trace),
 }
 
 
