@@ -15,8 +15,8 @@ connectivity, the component of every vertex and the block of every vertex
 are read off that one pass. The recursion runs it once per step, on G
 itself with the root skipped: G - u is never copied, and every function
 that works on G - u reads G's own adjacency and ignores the entries that
-lead to u. ``components`` is a separate breadth-first pass that the
-recursion does not use.
+lead to u. ``components`` reads the DFS roots' intervals; the recursion
+does not use it.
 """
 
 from __future__ import annotations
@@ -30,24 +30,18 @@ from .multigraph import Multigraph
 
 
 def components(g: Multigraph) -> list[frozenset[int]]:
-    """Connected components (orientation ignored), ordered by smallest vertex."""
-    adj = g.undirected_adj()
-    seen = [False] * g.n
+    """Connected components (orientation ignored), ordered by smallest vertex.
+
+    Each is a DFS root's preorder interval, and the lowpoint DFS takes its
+    roots in increasing vertex order.
+    """
+    order, size, _ = _lowpoint_dfs(g)
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for _, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+    i = 0
+    while i < g.n:
+        end = i + size[order[i]]
+        out.append(frozenset(order[i:end]))
+        i = end
     return out
 
 
@@ -355,13 +349,13 @@ def two_edge_disjoint_paths(
         if skip is not None:
             prev[skip] = (-1, -1)  # seen already, so never entered
         queue = deque([x])
-        while queue:
+        while queue and y not in prev:
             v = queue.popleft()
-            if v == y:
-                break
             for eid, w in adj[v]:
                 if w not in prev and used.get(eid, w) == w:
-                    prev[w] = (v, eid)
+                    prev[w] = (v, eid)  # set once, so stopping here keeps the path
+                    if w == y:
+                        break
                     queue.append(w)
         if y not in prev:
             return False
