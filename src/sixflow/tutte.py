@@ -2,12 +2,11 @@
 
 The pair <-> Z6 maps use the fixed isomorphism (a, b) -> (3a + 4b) mod 6,
 with inverse c -> (c mod 2, c mod 3). The integer conversion lifts each Z6
-value into {1..5} and then cancels vertex excesses six units at a time along
-shift paths until conservation holds everywhere (Tutte 1954). Each shift
-round is one breadth-first search that reads one entry per distinct
-neighbour of the vertices it reaches, however many parallel edges join
-them. ``Z6_OF_PAIR`` holds the Z6 value of each of the six pairs, so the
-map looks each edge's pair up instead of calling ``pair_to_z6`` per edge.
+value c to c or c - 6, whichever leaves the edge's ends nearer balance, then
+cancels vertex excesses six units at a time along shift paths until
+conservation holds everywhere (Tutte 1954). ``Z6_OF_PAIR`` holds the Z6
+value of each of the six pairs, so the map looks each edge's pair up instead
+of calling ``pair_to_z6`` per edge.
 """
 
 from __future__ import annotations
@@ -55,24 +54,25 @@ def group_flow_to_integer_flow(
     """Turn a nowhere-zero Z6-flow into a nowhere-zero integer 6-flow.
 
     Output satisfies f(e) ≡ phi(e) (mod 6) and 0 < |f(e)| <= 5, and holds
-    exactly G's edges. Each round finds, by breadth-first search from the
-    smallest vertex with positive excess, a path of shiftable edges to a
-    deficit vertex, and moves six units along it; the total absolute excess
-    drops by exactly twelve per round, so the rounds number the lift's total
-    positive excess over six. Loops are lifted and never shifted.
+    exactly G's edges. The lift takes the edges in id order and gives each
+    non-loop edge c or c - 6: c - 6 exactly when c would leave its head's
+    excess more than 6 above its tail's. Loops keep c and are never shifted.
+    Each round then finds, by breadth-first search from the smallest vertex
+    with positive excess, a path of shiftable edges to a deficit vertex, and
+    moves six units along it; the total absolute excess drops by exactly
+    twelve per round, so the rounds number the lift's total positive excess
+    over six.
 
-    The search reads one entry per distinct neighbour, not one per parallel
-    edge, so a round costs O(distinct neighbours of the vertices it reaches)
-    plus O(1) per shifted edge. ``stats`` receives ``augmentation_rounds``
-    and ``edges_scanned``, the neighbour entries the searches read.
+    A round reads the shiftable edges at the vertices it reaches, from one
+    dict per vertex, and shifts an edge in O(1). ``stats`` receives
+    ``augmentation_rounds`` and ``edges_scanned``, the edges the searches read.
     """
     n = g.n
     exc = [0] * n
     f: IntegerFlow = {}
-    # ahead[v] maps each neighbour w to the ids of the edges shiftable from v
-    # to w. Every lifted value is positive, so each edge starts out shiftable
-    # from its head to its tail.
-    ahead: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    # ahead[v] maps each edge shiftable from v to its far end: a positive
+    # edge is shiftable from its head, a negative one from its tail.
+    ahead: list[dict[int, int]] = [{} for _ in range(n)]
     for eid, (t, h) in g.arcs():
         try:
             c = phi[eid]
@@ -80,15 +80,15 @@ def group_flow_to_integer_flow(
             raise InputError(f"flow is missing a value for edge {eid}") from None
         if not 1 <= c <= 5:
             raise InputError(f"edge {eid}: value {c} is not a nonzero Z6 element")
-        f[eid] = c  # lift into {1..5}
         if t != h:
+            if exc[h] - exc[t] + 2 * c > 6:
+                c -= 6
+                ahead[t][eid] = h
+            else:
+                ahead[h][eid] = t
             exc[h] += c
             exc[t] -= c
-            edges = ahead[h].get(t)
-            if edges is None:
-                ahead[h][t] = [eid]
-            else:
-                edges.append(eid)
+        f[eid] = c
     for v in range(n):
         if exc[v] % 6:
             raise InputError(f"input is not a Z6-flow: conservation fails at vertex {v}")
@@ -103,7 +103,7 @@ def group_flow_to_integer_flow(
             # means total |excess| drops by exactly 12 this round.
             if exc[v] < 6 or exc[v] % 6:
                 raise InternalCheckError(f"source excess {exc[v]} is not a positive multiple of 6")
-            target, read = _shift_path(f, exc, ahead, v)
+            target, read = _shift_path(g, f, exc, ahead, v)
             rounds += 1
             scanned += read
             if exc[target] > 0:
@@ -115,24 +115,23 @@ def group_flow_to_integer_flow(
 
 
 def _shift_path(
-    f: IntegerFlow, exc: list[int], ahead: list[dict[int, list[int]]], start: int
+    g: Multigraph, f: IntegerFlow, exc: list[int], ahead: list[dict[int, int]], start: int
 ) -> tuple[int, int]:
     """One BFS round: push 6 units from ``start`` to the nearest deficit vertex.
 
-    Returns the deficit vertex and the number of neighbour entries read.
+    Returns the deficit vertex and the number of shiftable edges read.
     """
-    prev = {start: -1}
+    prev = {start: -1}  # vertex -> the edge that reached it
     queue = deque([start])
     target = -1
     scanned = 0
     while queue and target < 0:
-        v = queue.popleft()
-        nbrs = ahead[v]
-        scanned += len(nbrs)
-        for w in nbrs:
+        edges = ahead[queue.popleft()]
+        scanned += len(edges)
+        for eid, w in edges.items():
             if w in prev:
                 continue
-            prev[w] = v
+            prev[w] = eid
             if exc[w] < 0:
                 target = w
                 break
@@ -146,13 +145,11 @@ def _shift_path(
     # becomes shiftable from w back to v.
     w = target
     while w != start:
-        v = prev[w]
-        edges = ahead[v][w]
-        eid = edges.pop()
-        if not edges:
-            del ahead[v][w]
+        eid = prev[w]
+        v = sum(g.endpoints(eid)) - w  # the edge's other end
+        del ahead[v][eid]
+        ahead[w][eid] = v
         f[eid] += 6 if f[eid] < 0 else -6
-        ahead[w].setdefault(v, []).append(eid)
         w = v
     exc[start] -= 6
     exc[target] += 6

@@ -51,6 +51,21 @@ def brute_force_bridges(g: Multigraph) -> frozenset:
     return frozenset(out)
 
 
+def balanced_lift(g: Multigraph, phi: dict) -> tuple[dict, list]:
+    """The integer conversion's lift of a Z6 flow, and the excess it leaves:
+    edges in id order, each non-loop value c lifted to c - 6 exactly when
+    c would leave the head's excess more than 6 above the tail's."""
+    f = dict(phi)
+    exc = [0] * g.n
+    for eid, (t, h) in sorted(g.arcs()):
+        if t != h:
+            if exc[h] - exc[t] + 2 * f[eid] > 6:
+                f[eid] -= 6
+            exc[h] += f[eid]
+            exc[t] -= f[eid]
+    return f, exc
+
+
 def small_graphs(max_n=4, max_m=4):
     """Every labeled multigraph up to the given size, 2ec or not."""
     for n in range(1, max_n + 1):

@@ -29,6 +29,8 @@ from sixflow.testkit import (
     with_root_loops,
 )
 
+from conftest import balanced_lift
+
 
 class TestEnumerateFlows:
     def test_digon_pair_count(self, digon):
@@ -226,9 +228,5 @@ class TestFamilies:
             assert all(f[e] % 6 == phi[e] for e in g.edge_ids)
             assert group_flow_to_integer_flow(g, phi) == f
             # each round cancels six units of the lift's positive excess
-            exc = [0] * g.n
-            for eid, (t, h) in g.arcs():
-                if t != h:
-                    exc[h] += phi[eid]
-                    exc[t] -= phi[eid]
+            _, exc = balanced_lift(g, phi)
             assert stats["augmentation_rounds"] * 6 == sum(x for x in exc if x > 0)

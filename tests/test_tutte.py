@@ -3,7 +3,7 @@ import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sixflow import (
     InputError,
@@ -20,6 +20,8 @@ from sixflow.construct import BridgelessStep, CutStep
 from sixflow.fileio import build_flow_document
 from sixflow.flows import pair_add
 from sixflow.testkit import cycle, flower, grid, random_2ec_multigraph
+
+from conftest import balanced_lift
 
 
 # Pair entries: mostly near Z2 x Z3, so that the table's own pairs are drawn
@@ -83,20 +85,24 @@ class TestIntegerConversion:
         assert group_flow_to_integer_flow(g, phi) == phi
 
     def test_digon_opposing(self):
+        # edge 0 lifts to -2, as 4 would leave vertex 1 at 4 against vertex
+        # 0 at -4; edge 1 then lifts to -2 as well, which balances both ends
         g = Multigraph.build(2, [(0, 1), (1, 0)])
         phi = {0: 4, 1: 4}
-        assert group_flow_to_integer_flow(g, phi) == {0: 4, 1: 4}
+        stats = {}
+        assert group_flow_to_integer_flow(g, phi, stats) == {0: -2, 1: -2}
+        assert stats["augmentation_rounds"] == 0
 
-    def test_triangle_one_push(self):
+    def test_triangle_balanced_lift(self):
+        # edges 0 and 1 lift to -2 (excesses 2, -2, 0, then 2, 0, -2) and
+        # edge 2, from 0 at 2 to 2 at -2, keeps 2: no vertex is left over
         g = Multigraph.build(3, [(0, 1), (1, 2), (0, 2)])
         phi = {0: 4, 1: 4, 2: 2}
         stats = {}
         f = group_flow_to_integer_flow(g, phi, stats)
-        valid = brute_force_integer_flows(g, phi)
-        assert f in valid
-        assert {0: -2, 1: -2, 2: 2} in valid
-        assert stats["augmentation_rounds"] == 1
-        assert verify_k_flow(g, f, 6)
+        assert f == {0: -2, 1: -2, 2: 2}
+        assert f in brute_force_integer_flows(g, phi)
+        assert stats["augmentation_rounds"] == 0
 
     def test_loops_lift_unshifted(self):
         g = Multigraph.build(1, [(0, 0), (0, 0)])
@@ -164,21 +170,17 @@ def test_end_to_end_random(n, ears, seed):
 def reference_integer_flow(g, phi):
     """The conversion as a search that scans every edge at a vertex by id.
 
-    Returns (f, rounds). Every conversion shifts from the smallest positive
-    vertex until none is left, so the one under test must take the same
-    number of rounds, though it may enter a neighbour through another edge
-    and so return another flow.
+    Returns (f, rounds). It takes the same lift, and every conversion shifts
+    from the smallest positive vertex until none is left, so the one under
+    test must take the same number of rounds, though it may enter a
+    neighbour through another edge and so return another flow.
     """
-    f = dict(phi)
-    exc = [0] * g.n
+    f, exc = balanced_lift(g, phi)
     adj = [[] for _ in range(g.n)]
     for eid, (t, h) in sorted(g.arcs()):
-        if t == h:
-            continue
-        exc[h] += f[eid]
-        exc[t] -= f[eid]
-        adj[t].append((eid, h, True))
-        adj[h].append((eid, t, False))
+        if t != h:
+            adj[t].append((eid, h, True))
+            adj[h].append((eid, t, False))
     heap = [v for v in range(g.n) if exc[v] > 0]
     rounds = 0
     while heap:
@@ -265,11 +267,16 @@ class TestSameRoundsAsEdgeScan:
         assert_matches_reference(g, group_flow_to_z6(flow))
 
     def test_edge_shifted_below_the_smallest_of_its_pair(self):
-        # Round 1 shifts edge 0 from 0 to 2, so edges 0 and 3 are both
-        # shiftable from 2 to 0. Round 2 (source 1) enters 0 from 2 through
-        # one of them on its way to the deficit at 3.
-        g = Multigraph.build(4, [(2, 0), (2, 1), (3, 0), (0, 2), (2, 1), (3, 0)])
-        phi = {0: 3, 1: 4, 2: 3, 3: 3, 4: 2, 5: 3}
+        # A 3 x 4 grid with four edges doubled; edges 12, 18 and 19 join 7
+        # and 11. The lift leaves 6 at 3 and 11, -6 at 4 and 10. Round 1
+        # (3-7-11-10) shifts edge 12 from 7 to 11, where it joins 18 and 19,
+        # shiftable from 11 to 7, behind them though its id is smaller.
+        # Round 2 (source 11) crosses to 7 through edge 18 on its way to 4.
+        g = Multigraph.build(12, [
+            (9, 10), (1, 5), (8, 9), (1, 2), (0, 4), (0, 1), (6, 5), (2, 6), (10, 9), (5, 9),
+            (6, 10), (3, 7), (11, 7), (4, 5), (10, 11), (5, 6), (2, 3), (6, 7), (7, 11),
+            (7, 11), (4, 8)])
+        phi = dict(enumerate([4, 1, 1, 1, 4, 2, 4, 3, 2, 1, 2, 4, 4, 3, 4, 1, 4, 4, 3, 3, 1]))
         stats = assert_matches_reference(g, phi)
         assert stats["augmentation_rounds"] == 2
 
@@ -280,22 +287,45 @@ class TestSameRoundsAsEdgeScan:
         g = random_2ec_multigraph(14, 6000 - base.m, seed)
         flow, _ = solve(g, 0)
         stats = assert_matches_reference(g, group_flow_to_z6(flow))
-        assert stats["augmentation_rounds"] > 100
+        assert stats["augmentation_rounds"] > 0
 
 
-def test_rounds_read_neighbours_not_parallel_edges():
-    # 0 = 1 = 2: k parallel edges 0 -> 1 and k parallel edges 1 -> 2, all
-    # carrying 5. Vertex 2 has the excess, vertex 0 the deficit, so every
-    # round shifts one edge of each class along 2 -> 1 -> 0. A scan over
-    # every edge at the vertices it reaches reads all k edges at vertex 2
-    # in every round.
-    k = 1200
-    g = Multigraph.build(3, [(0, 1)] * k + [(1, 2)] * k)
-    phi = {e: 5 for e in g.edge_ids}
-    stats = assert_matches_reference(g, phi)
+@st.composite
+def parallel_classes(draw):
+    """An ear graph with some edges repeated into large parallel classes,
+    each copy reversed at random, loops at a root, ids shuffled, and the root."""
+    n = draw(st.integers(2, 10))
+    g = random_2ec_multigraph(n, draw(st.integers(0, 10)), draw(st.integers(0, 10**6)))
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = [ends for _, ends in g.arcs()]
+    for _ in range(draw(st.integers(1, 3))):
+        t, h = rng.choice(arcs)
+        arcs += [(h, t) if rng.random() < 0.5 else (t, h)
+                 for _ in range(draw(st.sampled_from([6, 40, 300])))]
+    root = draw(st.integers(0, n - 1))
+    arcs += [(root, root)] * draw(st.integers(0, 5))
+    rng.shuffle(arcs)
+    return Multigraph.build(n, arcs), root
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_classes())
+# 0 = 1 = 2 with 1,200 parallel edges a side: lifting its flow at root 0
+# into 1..5 left 800 rounds, and the balanced lift leaves none
+@example((Multigraph.build(3, [(0, 1)] * 1200 + [(1, 2)] * 1200), 0))
+def test_solved_flows_on_parallel_classes(case):
+    g, root = case
+    flow, _ = solve(g, root)
+    phi = group_flow_to_z6(flow)
+    stats = {}
+    f = group_flow_to_integer_flow(g, phi, stats)
+    assert verify_k_flow(g, f, 6)
+    assert all(f[e] % 6 == phi[e] for e in g.edge_ids)
     rounds = stats["augmentation_rounds"]
-    assert rounds == 5 * k // 6
-    assert stats["edges_scanned"] <= 2 * (g.m + rounds * g.n)
+    _, exc = balanced_lift(g, phi)
+    assert rounds * 6 == sum(x for x in exc if x > 0)
+    # a round reads each shiftable edge at most once
+    assert stats["edges_scanned"] <= rounds * sum(t != h for _, (t, h) in g.arcs())
 
 
 def test_every_graph_lists_edges_by_ascending_id(monkeypatch):
