@@ -103,6 +103,7 @@ class TestIntegerConversion:
         assert f == {0: -2, 1: -2, 2: 2}
         assert f in brute_force_integer_flows(g, phi)
         assert stats["augmentation_rounds"] == 0
+        assert verify_k_flow(g, f, 6)
 
     def test_loops_lift_unshifted(self):
         g = Multigraph.build(1, [(0, 0), (0, 0)])
