@@ -19,6 +19,22 @@ PATH = "p nzf 3 2\ne 0 1\ne 1 2\n"
 # (1, 1) on every edge of the triangle 0->1->2->0: a nowhere-zero flow, in
 # Z6 and as integers, but f2 = 1 at the root
 TRIANGLE_FLOW = "s SOLUTION root=0\nf 0 0 1 1 1 1 1\nf 1 1 2 1 1 1 1\nf 2 2 0 1 1 1 1\n"
+# Graph files that parse_graph rejects, by name, each with its message.
+GRAPH_ERRORS = {
+    "duplicate-header": ("p nzf 2 0\np nzf 2 0\n", "line 2: duplicate header"),
+    "edge-before-header": ("e 0 1\np nzf 2 1\n", "line 1: edge before header"),
+    "malformed-edge": ("p nzf 2 1\ne 0 1 1\n", "line 2: malformed edge line 'e 0 1 1'"),
+    "unknown-record": ("p nzf 2 1\nx 0 1\n", "line 2: unknown record 'x'"),
+    "unknown-first-record": ("q nzf 2 0\n", "line 1: unknown record 'q'"),
+    "non-integer": ("p nzf 2 1\ne 0 one\n", "line 2: expected an integer, got 'one'"),
+    "line-past-comments": ("c by hand\np nzf 2 1\nc the edge:\n\ne 0 z\n",
+                           "line 5: expected an integer, got 'z'"),
+    "malformed-header": ("p nzf 3\n", "line 1: malformed header 'p nzf 3'"),
+    "bad-sizes": ("p nzf -1 0\n", "line 1: bad sizes in header"),
+    "missing-header": ("c nothing else\n", "missing 'p nzf' header"),
+    "edge-count": ("p nzf 3 3\ne 0 1\n", "header promises 3 edges, file has 1"),
+    "endpoint-range": ("p nzf 2 1\ne 0 5\n", "edge 0: endpoint out of range (0, 5) with n=2"),
+}
 
 
 class TestGraphFormat:
@@ -46,22 +62,7 @@ class TestGraphFormat:
         with pytest.raises(InputError):
             parse_graph("p nzf 2 1\ne 0 5\n")
 
-    @pytest.mark.parametrize("text, message", [
-        ("p nzf 2 0\np nzf 2 0\n", "line 2: duplicate header"),
-        ("e 0 1\np nzf 2 1\n", "line 1: edge before header"),
-        ("p nzf 2 1\ne 0 1 1\n", "line 2: malformed edge line 'e 0 1 1'"),
-        ("p nzf 2 1\nx 0 1\n", "line 2: unknown record 'x'"),
-        ("q nzf 2 0\n", "line 1: unknown record 'q'"),
-        ("p nzf 2 1\ne 0 one\n", "line 2: expected an integer, got 'one'"),
-        ("c by hand\np nzf 2 1\nc the edge:\n\ne 0 z\n", "line 5: expected an integer, got 'z'"),
-        ("p nzf 3\n", "line 1: malformed header 'p nzf 3'"),
-        ("p nzf -1 0\n", "line 1: bad sizes in header"),
-        ("c nothing else\n", "missing 'p nzf' header"),
-        ("p nzf 3 3\ne 0 1\n", "header promises 3 edges, file has 1"),
-        ("p nzf 2 1\ne 0 5\n", "edge 0: endpoint out of range (0, 5) with n=2"),
-    ], ids=["duplicate-header", "edge-before-header", "malformed-edge", "unknown-record",
-            "unknown-first-record", "non-integer", "line-past-comments", "malformed-header", "bad-sizes",
-            "missing-header", "edge-count", "endpoint-range"])
+    @pytest.mark.parametrize("text, message", GRAPH_ERRORS.values(), ids=list(GRAPH_ERRORS))
     def test_error_message(self, text, message):
         with pytest.raises(InputError) as exc:
             parse_graph(text)

@@ -1,8 +1,9 @@
-"""Golden output digests: the bytes the writers emit for fixed solves, and
-the solver's flows and traces.
+"""Golden output digests: the bytes the writers emit for fixed solves, the
+solver's flows and traces, and what ``sixflow solve`` prints and returns.
 
 Each group is one sha256 over one record per solve of a fixed suite of
-(graph, root) pairs, committed in ``golden.json``. A change that alters any
+(graph, root) pairs, committed in ``golden.json``; the ``cli`` group's
+records are runs of the command instead. A change that alters any
 output of a group fails that group's test, so every output change is a
 visible diff of the digest file. Regenerate the file, after checking that
 the change is meant, with::
@@ -15,19 +16,25 @@ with the change.
 """
 
 import hashlib
+import io
 import json
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from sixflow import Multigraph, enumerate_small_2ec_multigraphs, random_2ec_multigraph, solve
-from sixflow.fileio import build_flow_document, format_flow
+from sixflow.cli import main
+from sixflow.fileio import build_flow_document, format_flow, format_graph
 from sixflow.testkit import circular_ladder, flower, grid, petersen, with_root_loops
 from sixflow.tutte import group_flow_to_integer_flow, group_flow_to_z6
 
 from test_acceptance import _random_suite
+from test_cli import GRAPH_ERRORS, PATH
 
 DIGESTS = Path(__file__).with_name("golden.json")
 
@@ -138,7 +145,44 @@ def suite_digests(suite):
     return {name: h.hexdigest() for name, (h, _) in groups.items()}
 
 
+def cli_runs():
+    """``sixflow solve`` argument lists, each with the graph text it reads
+    from stdin: every 25th criterion-2 graph at roots 0 and n // 2, and the
+    bad graphs of ``test_cli.py``, each in both formats."""
+    graphs = [(format_graph(g), sorted({0, g.n // 2}))
+              for g in islice(_random_suite(), 0, None, 25)]
+    bad = [PATH, "p nzf nope\n", "p nzf 0 0\n", "p wrong 3 3\n",
+           *(text for text, _ in GRAPH_ERRORS.values())]
+    graphs += [(text, [0]) for text in bad]
+    for text, roots in graphs:
+        for root in roots:
+            for fmt in ("text", "machine"):
+                yield ["solve", "-", "--root", str(root), "--format", fmt], text
+
+
+def run_cli(argv, stdin_text):
+    """The exit code, stdout and stderr of one ``sixflow`` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@cache
+def cli_digest():
+    h = hashlib.sha256()
+    for argv, text in cli_runs():
+        h.update(repr((argv, *run_cli(argv, text))).encode())
+    return h.hexdigest()
+
+
 def digest(name):
+    if name == "cli":
+        return cli_digest()
     return suite_digests(GROUPS[name][0])[name]
 
 
@@ -151,9 +195,13 @@ def test_solver_digest(name):
     assert digest(name) == json.loads(DIGESTS.read_text())[name]
 
 
+def test_cli_digest():
+    assert digest("cli") == json.loads(DIGESTS.read_text())["cli"]
+
+
 if __name__ == "__main__":
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    digests = {name: digest(name) for name in GROUPS}
+    digests = {name: digest(name) for name in (*GROUPS, "cli")}
     for name, value in digests.items():
         print(name, "new" if name not in committed
               else "unchanged" if committed[name] == value else "changed")
