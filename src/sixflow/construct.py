@@ -76,6 +76,7 @@ from itertools import compress
 from operator import not_
 from typing import Optional, Sequence, Union
 
+from ._collector import paused
 # bridges, components and two_edge_disjoint_paths are not called here:
 # perfbench/spans.py patches each of them by this name
 from .connectivity import (bridges, components, even_parts, partition_at_bridge,
@@ -136,6 +137,7 @@ def _check(cond: bool, message: str) -> None:
         raise InternalCheckError(message)
 
 
+@paused
 def solve(
     g: Multigraph, u: int, debug: bool = False
 ) -> tuple[GroupFlow, ConstructionTrace]:

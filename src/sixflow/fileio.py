@@ -50,6 +50,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NoReturn
 
+from ._collector import paused
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, IntegerFlow
 from .multigraph import Multigraph
@@ -88,9 +89,11 @@ class FlowDocument:
     z6: tuple[int, ...]
     int6: tuple[int, ...]
 
+    @paused
     def group_flow(self) -> GroupFlow:
         return dict(zip(self.edge_id, zip(self.f2, self.f3)))
 
+    @paused
     def integer_flow(self) -> IntegerFlow:
         return dict(zip(self.edge_id, self.int6))
 
@@ -105,6 +108,7 @@ def _tokens(text: str) -> tuple[list[str], list[int]]:
     return text.split(), list(filter(None, map(len, map(str.split, lines))))
 
 
+@paused
 def parse_graph(text: str) -> Multigraph:
     tokens, counts = _tokens(text)
     try:
@@ -159,6 +163,7 @@ def format_graph(g: Multigraph) -> str:
     return "\n".join(chain((f"p nzf {g.n} {g.m}",), edges)) + "\n"
 
 
+@paused
 def build_flow_document(
     g: Multigraph, root: int, f: GroupFlow, int6: IntegerFlow
 ) -> FlowDocument:
@@ -189,6 +194,7 @@ _ROW_OF_TOKENS = FixedTable(lambda tokens: tuple(map(int, tokens)),
                             [tuple(map(str, row)) for row in _VALID_VALUES])
 
 
+@paused
 def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
     if fmt == "machine":
         if not doc.edge_id:
@@ -203,6 +209,7 @@ def format_flow(doc: FlowDocument, fmt: str = "text") -> str:
     return "\n".join(chain((f"s SOLUTION root={doc.root}",), lines)) + "\n"
 
 
+@paused
 def parse_flow(text: str) -> FlowDocument:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -305,6 +312,7 @@ def _validate_flow_document(doc: FlowDocument) -> None:
     raise InternalCheckError("flow entries rejected, but no entry of them is bad")
 
 
+@paused
 def flow_matches_graph(doc: FlowDocument, g: Multigraph) -> bool:
     arcs = zip(doc.edge_id, zip(doc.tail, doc.head))
     return len(doc.edge_id) == g.m and all(map(g.arcs().__contains__, arcs))

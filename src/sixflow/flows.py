@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ._collector import paused
 from .errors import InputError
 from .multigraph import Multigraph
 
@@ -56,6 +57,7 @@ def _pair_excesses(g: Multigraph, f: GroupFlow) -> tuple[list[int], list[int]]:
     return e2, e3
 
 
+@paused
 def flow_violation(g: Multigraph, f: GroupFlow) -> Optional[Witness]:
     """The first vertex where conservation fails, or None if f is a flow."""
     _require_total(g, f)
@@ -70,6 +72,7 @@ def verify_flow(g: Multigraph, f: GroupFlow) -> bool:
     return flow_violation(g, f) is None
 
 
+@paused
 def zero_edge(f: GroupFlow) -> Optional[int]:
     """The smallest edge id carrying the zero value, or None."""
     if ZERO not in f.values():
@@ -81,6 +84,7 @@ def verify_nowhere_zero(g: Multigraph, f: GroupFlow) -> bool:
     return verify_flow(g, f) and all(f[eid] != ZERO for eid in g.edge_ids)
 
 
+@paused
 def rooted_violation(g: Multigraph, u: int, f: GroupFlow) -> Optional[Witness]:
     """Check the rooted condition: nowhere-zero flow with f2 = 0 on every
     edge at u (loops included)."""
@@ -100,6 +104,7 @@ def verify_rooted(g: Multigraph, u: int, f: GroupFlow) -> bool:
     return rooted_violation(g, u, f) is None
 
 
+@paused
 def k_flow_violation(g: Multigraph, f: IntegerFlow, k: int) -> Optional[Witness]:
     """Check a nowhere-zero integer k-flow."""
     _require_total(g, f)

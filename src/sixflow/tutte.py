@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from ._collector import paused
 from .errors import InputError, InternalCheckError
 from .flows import GroupFlow, IntegerFlow, Pair
 from .multigraph import Multigraph
@@ -44,10 +45,12 @@ class FixedTable(dict):
 Z6_OF_PAIR = FixedTable(pair_to_z6, [(a, b) for a in range(2) for b in range(3)])
 
 
+@paused
 def group_flow_to_z6(f: GroupFlow) -> Z6Flow:
     return dict(zip(f, map(Z6_OF_PAIR.__getitem__, f.values())))
 
 
+@paused
 def group_flow_to_integer_flow(
     g: Multigraph, phi: Z6Flow, stats: Optional[dict] = None
 ) -> IntegerFlow:
