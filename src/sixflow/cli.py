@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from . import fileio
+from ._collector import paused
 from .connectivity import is_2_edge_connected
 from .construct import solve
 from .errors import GuardError, InputError, SixflowError, StructuralError
@@ -105,6 +106,7 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+@paused
 def _cmd_solve(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     flow, trace = solve(g, args.root, debug=args.debug_verify)
@@ -118,6 +120,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@paused
 def _cmd_verify(args) -> int:
     g = fileio.parse_graph(_read(args.graph))
     doc = fileio.parse_flow(_read(args.flow))

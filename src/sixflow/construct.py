@@ -47,7 +47,7 @@ vertices. Otherwise two cases:
   extension changes only the edges at the root and parts.
   Ear graphs, doubled cycles and grids of three rows or more solve a few
   levels deep; a 2 x k grid does not, since only the first 4-cycle of each
-  ladder is a part: 2 x 1,000 takes 500 steps, 499 deep (ROADMAP item 3).
+  ladder is a part: 2 x 1,000 takes 500 steps, 499 deep (ROADMAP item 1).
 
 Each step reads G - root inside G, with no copy and no renumbering: one
 lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the

@@ -6,11 +6,14 @@ caller had it, whatever the call does.
 """
 
 import gc
+import io
+from contextlib import redirect_stdout
 
 import pytest
 
 from sixflow import InputError, Multigraph, StructuralError, construct, fileio, flows, tutte
 from sixflow._collector import paused
+from sixflow.cli import main
 from sixflow.testkit import grid, random_2ec_multigraph
 
 from test_cli import PATH
@@ -145,30 +148,44 @@ class TestCollectorState:
         assert outer.__name__ == "outer"
 
 
-def test_collector_runs_on_the_criterion_7_paths():
+def test_collector_runs_on_the_criterion_7_paths(tmp_path):
     # The criterion-7 shape: 60 vertices, 100,000 edges. Unpaused, the solve
     # path started 435 collector runs and the verify path 427; a pause that
     # misses a layer lets the first container that layer allocates start a
-    # run over everything still alive. The one run allowed is the boundary
-    # between two paused calls, where the caller allocates.
+    # run over everything still alive. Called one layer at a time, a path
+    # may start one run, at the boundary after parsing, where the caller
+    # allocates; the CLI commands run paused as a whole, so they start none.
     base = random_2ec_multigraph(60, 0, 1)
     text = fileio.format_graph(random_2ec_multigraph(60, 100_000 - base.m, 1))
+    graph_file, flow_file = tmp_path / "g.nzf", tmp_path / "g.flow"
+    graph_file.write_text(text)
     runs = []
 
     def count(phase, info):
         if phase == "start":
             runs.append(info["generation"])
 
-    gc.collect()
-    gc.callbacks.append(count)
-    try:
-        flow_text, _ = solve_path(text, 0)
-        solve_runs = len(runs)
+    def runs_in(call, *args):
         gc.collect()
         runs.clear()
-        verify_path(text, flow_text)
-        verify_runs = len(runs)
+        result = call(*args)
+        return len(runs), result
+
+    def command(*argv):
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(list(argv)) == 0
+            started = len(runs)
+        return started, out.getvalue()
+
+    gc.callbacks.append(count)
+    try:
+        solve_runs, (flow_text, _) = runs_in(solve_path, text, 0)
+        verify_runs, _ = runs_in(verify_path, text, flow_text)
+        _, (solve_command, flow_text) = runs_in(command, "solve", str(graph_file))
+        flow_file.write_text(flow_text)
+        _, (verify_command, _) = runs_in(command, "verify", str(graph_file), str(flow_file),
+                                         "--mode", "k6")
     finally:
         gc.callbacks.remove(count)
-    assert solve_runs <= 1
-    assert verify_runs <= 1
+    assert solve_runs <= 1 and verify_runs <= 1
+    assert solve_command == verify_command == 0
