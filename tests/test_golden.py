@@ -172,7 +172,6 @@ def run_cli(argv, stdin_text):
     return code, out.getvalue(), err.getvalue()
 
 
-@cache
 def cli_digest():
     h = hashlib.sha256()
     for argv, text in cli_runs():
