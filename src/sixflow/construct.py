@@ -185,9 +185,11 @@ def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):
     smallest edge id, and ``same`` tells whether the edge runs as the named
     one does. The reduced graph keeps every edge off the chains, and each
     chain's name as an edge between its ends, in the order of G's edges, so
-    ids stay ascending. It is a copy of G's edges with only the chains and
-    the edges at renumbered vertices changed: a kept vertex keeps its id
-    unless that is past the reduced graph's last vertex.
+    ids stay ascending. A kept vertex keeps its id unless that is past the
+    reduced graph's last vertex. The graph is built in one pass over G's
+    edges through that vertex image, skipping every chain edge but the
+    names, whose ends are then replaced in place; an edge whose ends both
+    keep their ids keeps its (tail, head) tuple.
 
     Degrees are read off the cached adjacency, which holds no loops, and
     the edges are read for loops only if some vertex has two neighbour
@@ -203,11 +205,10 @@ def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):
     kept[u] = True
     if all(kept):
         return g, u, ()
-    loops = []  # (edge id, its vertex)
     if sum(map(len, adj)) < 2 * g.m:  # some edge is a loop
-        loops = [(eid, t) for eid, (t, h) in g.arcs() if t == h]
-        for _, v in loops:
-            kept[v] = True
+        for _, (t, h) in g.arcs():
+            if t == h:
+                kept[t] = True
     suppressed = list(compress(range(g.n), map(not_, kept)))
     if not suppressed:
         return g, u, ()
@@ -215,8 +216,7 @@ def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):
     # vertex count; the others take the suppressed ids below n2, in order.
     n2 = g.n - len(suppressed)
     image = list(range(g.n))
-    moved = list(compress(range(n2, g.n), kept[n2:]))
-    for v, w in zip(moved, suppressed):
+    for v, w in zip(compress(range(n2, g.n), kept[n2:]), suppressed):
         image[v] = w
     endpoints = g.endpoints
     # Flat, one entry per chain edge: its id, its chain's name, and whether
@@ -254,20 +254,10 @@ def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):
             runs[start:] = [not r for r in runs[start:]]
         owner += [name] * (len(members) - start)
         chain_edge[name] = (image[x], image[y])
-    # Only the chains and the edges at moved vertices change; a dict keeps
-    # the place of a key whose value is replaced, so ids stay ascending.
-    edges = dict(g.arcs())
-    for eid, name in zip(members, owner):
-        if eid != name:
-            del edges[eid]
+    dropped = set(members).difference(chain_edge)
+    edges = {eid: ends if ends[0] < n2 > ends[1] else (image[ends[0]], image[ends[1]])
+             for eid, ends in g.arcs() if eid not in dropped}
     edges.update(chain_edge)
-    for v in moved:
-        for eid, w in adj[v]:
-            if kept[w]:
-                t, h = endpoints(eid)
-                edges[eid] = (image[t], image[h])
-    for eid, v in loops:
-        edges[eid] = (image[v], image[v])
     trace.reduction = Reduction(suppressed=len(suppressed), chains=len(chain_edge))
     return Multigraph(n2, edges), image[u], zip(members, owner, runs)
 
@@ -306,7 +296,7 @@ def _two_vertices(g, depth, trace):
     flow = dict.fromkeys(g.edge_ids, (0, 1))
     links = [(eid, 1 if t == 0 else -1) for eid, (t, h) in g.arcs() if t != h]
     if links:
-        values = extend_nonzero_parallel(0, len(links), [sign for _, sign in links])
+        values = extend_nonzero_parallel(0, [sign for _, sign in links])
         flow.update((eid, (0, val)) for (eid, _), val in zip(links, values))
     return flow
 
@@ -424,9 +414,8 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     # it by conservation, forced leaf-upward over its BFS tree, every other
     # part edge keeping f3 = 0. A part's values touch only its own vertices.
     for (tree, edges), at_part in zip(parts, spoke_ends):
-        values = extend_nonzero_parallel(
-            -sum(exc[v] for v, _ in tree) % 3, len(at_part),
-            [sign for _, _, sign in at_part])
+        values = extend_nonzero_parallel(-sum(exc[v] for v, _ in tree) % 3,
+                                         [sign for _, _, sign in at_part])
         for (eid, v, sign), val in zip(at_part, values):
             _check(val != 0, "a spoke edge lost its f3 value")
             flow[eid] = (0, val)
@@ -442,24 +431,16 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     return flow
 
 
-def extend_nonzero_parallel(
-    d: int, k: int, orientations: Sequence[int]
-) -> list[int]:
-    """Nonzero mod-3 values for k >= 2 parallel edges with given signed sum.
+def extend_nonzero_parallel(d: int, orientations: Sequence[int]) -> list[int]:
+    """Nonzero mod-3 values for two or more parallel edges with given signed sum.
 
     orientations holds +1/-1 per edge; the returned values v satisfy
     sum(sign * v) = d (mod 3) with every v in {1, 2}. Deterministic: in the
     sign-normalised view all values start at 1 and the first few flip to 2.
     """
+    k = len(orientations)
     if k < 2:
         raise InputError("need at least two parallel edges to stay nonzero")
-    if len(orientations) != k:
-        raise InputError("orientation count does not match edge count")
-    w = [1] * k
     delta = (d - k) % 3
-    if delta == 1:
-        w[0] = 2
-    elif delta == 2:
-        w[0] = 2
-        w[1] = 2
+    w = [2] * delta + [1] * (k - delta)
     return [v if s > 0 else 3 - v for v, s in zip(w, orientations)]

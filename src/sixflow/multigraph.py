@@ -134,13 +134,6 @@ class Multigraph:
         }
         return Multigraph(len(assigned), edges), image
 
-    def reverse_edge(self, eid: int) -> "Multigraph":
-        """Swap tail and head of one edge."""
-        t, h = self.endpoints(eid)
-        edges = dict(self._edges)
-        edges[eid] = (h, t)
-        return Multigraph(self.n, edges)
-
     def delete_vertex(self, u: int) -> "Multigraph":
         """G - u: drop every edge at u and keep every vertex id.
 

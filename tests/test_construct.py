@@ -24,7 +24,8 @@ from sixflow import (
 from sixflow import connectivity, construct
 from sixflow.tutte import group_flow_to_integer_flow, group_flow_to_z6
 from sixflow.construct import (
-    BaseStep, BridgelessStep, ConstructionTrace, CutStep, Reduction, _solve_task)
+    BaseStep, BridgelessStep, ConstructionTrace, CutStep, Reduction, _solve_task,
+    _suppress_degree_two)
 from sixflow.connectivity import (
     is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
 from sixflow.testkit import (
@@ -32,6 +33,7 @@ from sixflow.testkit import (
     doubled_cycle,
     enumerate_nz_flows,
     enumerate_small_2ec_multigraphs,
+    flower,
     grid,
     petersen,
     random_2ec_multigraph,
@@ -136,6 +138,107 @@ class TestTraceShape:
         assert trace.reduction == Reduction(suppressed=n - 1, chains=1)
         assert trace.steps == [BaseStep(depth=0, loop_edges=1)]
         assert verify_rooted(g, u, f)
+
+
+def suppressed_by_rule(g, u):
+    """(n2, arcs, root, sorted chain edges) of G with every vertex but u of
+    degree 2 and no loop suppressed, by the rule ``_suppress_degree_two``
+    states: each maximal chain through such vertices becomes its smallest
+    edge id, running from the chain's end at that edge's tail to the end at
+    its head; every other edge stays. A kept vertex keeps its id below n2,
+    and the kept vertices past it take the free ids below n2, both in order."""
+    if g.n <= 2:
+        return g.n, list(g.arcs()), u, []
+    at = [[] for _ in g.vertices()]  # non-loop edge ids at each vertex
+    looped = set()
+    for eid, (t, h) in g.arcs():
+        if t == h:
+            looped.add(t)
+        else:
+            at[t].append(eid)
+            at[h].append(eid)
+    gone = [v != u and len(at[v]) == 2 and v not in looped for v in g.vertices()]
+    n2 = gone.count(False)
+    image = list(g.vertices())
+    for v, w in zip([v for v in range(n2, g.n) if not gone[v]],
+                    [w for w in range(n2) if gone[w]]):
+        image[v] = w
+    chain_ends = {}  # chain name -> its ends in the reduced graph
+    chains = []  # (edge id, name, runs as the name does)
+    used = set()
+    for x in g.vertices():
+        if gone[x]:
+            continue
+        for eid in at[x]:
+            if eid in used:
+                continue
+            path, ids = [x], []  # the chain's vertices and edges, from x
+            while True:
+                t, h = g.endpoints(eid)
+                used.add(eid)
+                ids.append(eid)
+                path.append(h if t == path[-1] else t)
+                if not gone[path[-1]]:
+                    break
+                eid = next(e for e in at[path[-1]] if e != eid)
+            if len(ids) == 1:  # an edge between two kept vertices
+                continue
+            name = min(ids)
+            i = ids.index(name)
+            if g.endpoints(name)[0] != path[i]:  # walk it from the other end
+                path.reverse()
+                ids.reverse()
+            chain_ends[name] = (image[path[0]], image[path[-1]])
+            chains += [(eid, name, g.endpoints(eid)[0] == path[j])
+                       for j, eid in enumerate(ids)]
+    chained = {eid for eid, _, _ in chains}
+    arcs = [(eid, chain_ends.get(eid, (image[t], image[h])))
+            for eid, (t, h) in g.arcs() if eid in chain_ends or eid not in chained]
+    return n2, arcs, image[u], sorted(chains)
+
+
+def k2(k):
+    return Multigraph.build(k + 2, [(hub, 2 + i) for i in range(k) for hub in (0, 1)])
+
+
+class TestSuppressDegreeTwo:
+    @staticmethod
+    def reduce(g, u):
+        h, hu, chains = _suppress_degree_two(g, u, ConstructionTrace())
+        chains = sorted(chains)
+        names = {name for _, name, _ in chains}
+        # an edge off the chains whose ends both keep their ids keeps its tuple
+        assert all(ends is g.endpoints(eid) for eid, ends in h.arcs()
+                   if eid not in names and max(g.endpoints(eid)) < h.n)
+        return h.n, list(h.arcs()), hu, chains
+
+    def test_loop_at_a_moved_vertex(self):
+        # 1 and 2 are suppressed into the chain 0-1-2-3 at the root; 4 has
+        # degree 2 but a loop, so it is kept, and with 3 it moves below n2
+        g = Multigraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 4), (0, 3)])
+        assert self.reduce(g, 0) == suppressed_by_rule(g, 0) == (
+            3, [(0, (0, 1)), (3, (1, 2)), (4, (2, 0)), (5, (2, 2)), (6, (0, 1))], 0,
+            [(0, 0, True), (1, 0, True), (2, 0, True)])
+
+    def test_name_against_the_walk(self):
+        # the chain 0-1-2 is named by edge 0, which runs from 1 to 2, so its
+        # edge runs from 0 to 2, and edge 1 runs against it
+        g = Multigraph.build(4, [(1, 2), (1, 0), (2, 3), (3, 0), (0, 2)])
+        assert self.reduce(g, 0) == suppressed_by_rule(g, 0) == (
+            2, [(0, (0, 1)), (2, (1, 0)), (4, (0, 1))], 0,
+            [(0, 0, True), (1, 0, False), (2, 2, True), (3, 2, True)])
+
+    def test_families_every_root(self):
+        graphs = [k2(5), flower([1, 3, 2, 4, 1]),
+                  *(random_2ec_multigraph(30, 4, seed) for seed in range(3))]
+        for g in graphs:
+            for u in g.vertices():
+                assert self.reduce(g, u) == suppressed_by_rule(g, u)
+
+    def test_small_graphs_every_root(self):
+        for g in enumerate_small_2ec_multigraphs(4, 6):
+            for u in g.vertices():
+                assert self.reduce(g, u) == suppressed_by_rule(g, u)
 
 
 def bfs_tree(g, edges, start):
@@ -540,7 +643,7 @@ class TestBridgelessExtension:
     def test_spoke_values_off_the_excess(self, monkeypatch):
         real = extend_nonzero_parallel
         monkeypatch.setattr(construct, "extend_nonzero_parallel",
-                            lambda d, k, signs: real((d + 1) % 3, k, signs))
+                            lambda d, signs: real((d + 1) % 3, signs))
         g = Multigraph.build(5, self.ARCS)
         assert after_children(g, dict(self.CHILD)) == (
             "contracted component has nonzero total excess")
@@ -548,7 +651,7 @@ class TestBridgelessExtension:
     def test_zero_spoke_value(self, monkeypatch):
         # the right signed sum, carried by the last spoke alone
         monkeypatch.setattr(construct, "extend_nonzero_parallel",
-                            lambda d, k, signs: [0] * (k - 1) + [d * signs[-1] % 3])
+                            lambda d, signs: [0] * (len(signs) - 1) + [d * signs[-1] % 3])
         g = Multigraph.build(5, self.ARCS)
         assert after_children(g, dict(self.CHILD)) == "a spoke edge lost its f3 value"
 
@@ -582,29 +685,24 @@ def test_perfbench_patch_targets_exist():
 
 class TestExtendNonzeroParallel:
     def test_two_same_sense_sum_zero(self):
-        vals = extend_nonzero_parallel(0, 2, [1, 1])
+        vals = extend_nonzero_parallel(0, [1, 1])
         assert all(v in (1, 2) for v in vals)
         assert sum(vals) % 3 == 0
 
     def test_two_same_sense_sum_two(self):
-        assert extend_nonzero_parallel(2, 2, [1, 1]) == [1, 1]
+        assert extend_nonzero_parallel(2, [1, 1]) == [1, 1]
 
     def test_three_same_sense_sum_zero(self):
-        assert extend_nonzero_parallel(0, 3, [1, 1, 1]) == [1, 1, 1]
+        assert extend_nonzero_parallel(0, [1, 1, 1]) == [1, 1, 1]
 
     def test_rejects_single_edge(self):
         with pytest.raises(InputError):
-            extend_nonzero_parallel(1, 1, [1])
-
-    def test_rejects_orientation_count_mismatch(self):
-        with pytest.raises(InputError) as exc:
-            extend_nonzero_parallel(0, 2, [1])
-        assert str(exc.value) == "orientation count does not match edge count"
+            extend_nonzero_parallel(1, [1])
 
     @given(st.integers(0, 2), st.integers(2, 8), st.data())
     def test_signed_sum_and_nonzero(self, d, k, data):
         signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-        vals = extend_nonzero_parallel(d, k, signs)
+        vals = extend_nonzero_parallel(d, signs)
         assert all(v in (1, 2) for v in vals)
         assert sum(s * v for s, v in zip(signs, vals)) % 3 == d
 

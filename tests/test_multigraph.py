@@ -134,20 +134,6 @@ class TestContract:
             assert image_once == brute_force_image(g, a | b)
 
 
-class TestReverse:
-    def test_loop_unchanged(self):
-        g = Multigraph.build(1, [(0, 0)])
-        assert g.reverse_edge(0) == g
-
-    def test_involution(self, triangle):
-        assert triangle.reverse_edge(0).reverse_edge(0) == triangle
-
-    def test_incidence_flips(self, triangle):
-        r = triangle.reverse_edge(0)
-        assert triangle.endpoints(0) == (0, 1)
-        assert r.endpoints(0) == (1, 0)
-
-
 class TestDeleteVertex:
     # G - u keeps every vertex id; u stays behind isolated
     def test_triangle(self, triangle):

