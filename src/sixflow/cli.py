@@ -89,12 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type for a comma-separated list of integers."""
+    """argparse type for a non-empty comma-separated list of integers."""
     try:
-        return [int(s) for s in text.split(",") if s]
+        values = [int(s) for s in text.split(",") if s]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid comma-separated int value: {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int value: {text!r}")
+    return values
 
 
 def _read(path: str) -> str:

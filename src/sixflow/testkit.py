@@ -139,12 +139,21 @@ def random_2ec_multigraph(n: int, extra_ears: int, seed: int) -> Multigraph:
     between random existing vertices (parallel edges and loops possible).
     Every intermediate graph is 2-edge-connected; output is a pure function
     of (n, extra_ears, seed).
+
+    Each ear end is a vertex drawn below k, the vertex count so far, and
+    each ear length is 1 plus a value drawn below 3. A value below k is
+    ``getrandbits(k.bit_length())`` of ``random.Random(seed)``, drawn again
+    while it is at least k. That is the draw CPython's ``Random`` makes for
+    a range of k values, done inline to save two Python calls per draw. So
+    the graphs equal those of earlier versions, which drew through that
+    range method, for every (n, extra_ears, seed), and they depend only on
+    ``getrandbits``, not on how the ``random`` module samples a range.
     """
     if n < 1:
         raise InputError("vertex count must be positive")
     if extra_ears < 0:
         raise InputError("extra ear count must be non-negative")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     arcs: list[tuple[int, int]] = []
     if n == 1:
         vcount = 1
@@ -153,16 +162,29 @@ def random_2ec_multigraph(n: int, extra_ears: int, seed: int) -> Multigraph:
         arcs.extend((i, (i + 1) % c) for i in range(c))
         vcount = c
     while vcount < n:
-        a = rng.randrange(vcount)
-        b = rng.randrange(vcount)
-        length = min(1 + rng.randrange(3), n - vcount)
+        k = vcount.bit_length()
+        a = bits(k)
+        while a >= vcount:
+            a = bits(k)
+        b = bits(k)
+        while b >= vcount:
+            b = bits(k)
+        length = bits(2)  # a value below 3; 3 has bit length 2
+        while length >= 3:
+            length = bits(2)
+        length = min(1 + length, n - vcount)
         inner = list(range(vcount, vcount + length))
         vcount += length
         chain = [a] + inner + [b]
         arcs.extend(zip(chain, chain[1:]))
+    k = vcount.bit_length()
     for _ in range(extra_ears):
-        a = rng.randrange(vcount)
-        b = rng.randrange(vcount)
+        a = bits(k)
+        while a >= vcount:
+            a = bits(k)
+        b = bits(k)
+        while b >= vcount:
+            b = bits(k)
         arcs.append((a, b))
     return Multigraph.build(vcount, arcs)
 

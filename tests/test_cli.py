@@ -391,7 +391,8 @@ class TestGenOracleBench:
         assert captured.err == "error: repetition count must be positive\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("option, value", [("--sizes", "x"), ("--seeds", "1,y")])
+    @pytest.mark.parametrize("option, value", [
+        ("--sizes", "x"), ("--seeds", "1,y"), ("--sizes", ","), ("--seeds", "")])
     def test_bench_bad_list_is_a_usage_error(self, capsys, option, value):
         with pytest.raises(SystemExit) as exc:
             main(["bench", option, value])

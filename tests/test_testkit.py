@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,42 @@ class TestRandomGenerator:
 
     def test_seed_sensitivity(self):
         assert random_2ec_multigraph(25, 10, 1) != random_2ec_multigraph(25, 10, 2)
+
+    @staticmethod
+    def randrange_reference(n, extra_ears, seed):
+        """The generator as it was when it drew through ``randrange``."""
+        rng = random.Random(seed)
+        arcs = []
+        if n == 1:
+            vcount = 1
+        else:
+            c = min(n, 3)
+            arcs.extend((i, (i + 1) % c) for i in range(c))
+            vcount = c
+        while vcount < n:
+            a = rng.randrange(vcount)
+            b = rng.randrange(vcount)
+            length = min(1 + rng.randrange(3), n - vcount)
+            inner = list(range(vcount, vcount + length))
+            vcount += length
+            chain = [a] + inner + [b]
+            arcs.extend(zip(chain, chain[1:]))
+        for _ in range(extra_ears):
+            a = rng.randrange(vcount)
+            b = rng.randrange(vcount)
+            arcs.append((a, b))
+        return Multigraph.build(vcount, arcs)
+
+    def test_equals_randrange_draw(self):
+        for n in (1, 2, 3, 4, 5, 8, 9, 17, 100, 257, 1000):
+            for ears in (0, 1, 7, 300):
+                for seed in range(5):
+                    g = random_2ec_multigraph(n, ears, seed)
+                    assert g == self.randrange_reference(n, ears, seed), (n, ears, seed)
+
+    @pytest.mark.parametrize("n, ears, seed", [(40, 20, 2 ** 32 + 17), (14, 15_000, 7)])
+    def test_equals_randrange_draw_at_scale(self, n, ears, seed):
+        assert random_2ec_multigraph(n, ears, seed) == self.randrange_reference(n, ears, seed)
 
 
 @st.composite
