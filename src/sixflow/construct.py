@@ -1,7 +1,24 @@
 """Recursive construction of a nowhere-zero Z2 x Z3 flow whose f2 component
 vanishes on every edge at a chosen root vertex.
 
-First, one pass suppresses every vertex other than the root that has
+First, on a graph with more than two vertices and m > 3n^2 edges, one pass
+drops surplus parallel edges: the digon reduction that flow proofs take for
+granted. It groups the edges by ordered (tail, head), loops included, and
+a class of k >= 4 edges keeps its 2 + (k mod 2) smallest ids and drops the
+rest, an even number. There are at most n^2 classes, so the gate
+guarantees work by pigeonhole and the reduced graph has at most 3n^2 edges;
+a sparser graph skips the pass and pays nothing for it. The dropped edges
+of a class run the same way, so they cancel in consecutive pairs: (0, 1)
+and (0, 2) in a class at the root, where f2 must be 0, and (1, 0) and
+(1, 0) elsewhere. Every value is nonzero and each pair sums to zero at both
+ends. Every reduced class keeps at least two edges, so a cut of one edge
+or none in either graph holds no edge of a reduced class: it is the same
+cut in both, and the reduced graph has G's vertex ids, bridges and
+components, so a search of it for an error names what a search of G
+would. The returned flow lists G's edges in id order, the order every
+later layer reads it in.
+
+Then one pass suppresses every vertex other than the root that has
 degree 2 and no loop, the usual first reduction of nowhere-zero-flow
 proofs (Seymour's 1981 proof among them). Each maximal chain x - ... - y
 through such vertices becomes one edge (x, y), named by the chain's
@@ -71,8 +88,9 @@ only by memory, never by the interpreter call stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 from operator import not_
 from typing import Optional, Sequence, Union
 
@@ -117,12 +135,18 @@ Step = Union[BaseStep, CutStep, BridgelessStep]
 class Reduction:
     suppressed: int  # vertices of degree 2 suppressed
     chains: int  # edges of the reduced graph that stand for chains
+    dropped: int = 0  # parallel edges dropped in cancelling pairs
+
+    def __repr__(self) -> str:  # names ``dropped`` only when some were
+        dropped = f", dropped={self.dropped}" if self.dropped else ""
+        return f"Reduction(suppressed={self.suppressed}, chains={self.chains}{dropped})"
 
 
 @dataclass
 class ConstructionTrace:
     """Audit log of the recursion: one record per instance solved, and the
-    degree-2 suppression before it when that suppressed anything."""
+    reduction before it when the pair pass or the degree-2 suppression
+    changed the graph."""
 
     steps: list[Step] = field(default_factory=list)
     reduction: Optional[Reduction] = None
@@ -148,11 +172,14 @@ def solve(
     checked for 2-edge-connectivity too, always, off the DFS its step runs
     anyway. With debug=True every instance's flow is re-verified, each
     bridgeless child is checked against ``contract``, and the flow expanded
-    over the suppressed chains is verified on g.
+    over the dropped edges and the suppressed chains is verified on g.
     """
     g._check_vertex(u)
     trace = ConstructionTrace()
-    h, hu, chains = _suppress_degree_two(g, u, trace)
+    r, root_pairs = _drop_parallel_pairs(g, u)
+    h, hu, chains = _suppress_degree_two(r, u, trace)
+    if r is not g:
+        trace.reduction = replace(trace.reduction or Reduction(0, 0), dropped=g.m - r.m)
 
     # Trampoline: each task is a generator that yields subinstances and
     # receives their flows back, so recursion depth costs no call stack.
@@ -171,9 +198,40 @@ def solve(
     for eid, name, same in chains:  # the name's own value is kept as it is
         pair = result[name]
         result[eid] = pair if same else (pair[0], -pair[1] % 3)
+    if r is not g:
+        flow = dict.fromkeys(g.edge_ids, (1, 0))
+        flow.update(root_pairs)
+        flow.update(result)
+        result = flow
     if debug and trace.reduction is not None:
-        _check(verify_rooted(g, u, result), "flow expanded over the chains fails the rooted check")
+        _check(verify_rooted(g, u, result), "reduction's expanded flow fails the rooted check")
     return result, trace
+
+
+def _drop_parallel_pairs(g: Multigraph, u: int):
+    """G with surplus parallel edges dropped, and the values of the dropped
+    edges at the root; G and no values when n <= 2 or m <= 3n^2.
+
+    One pass over G's edges groups them by (tail, head). A class of k >= 4
+    edges keeps its 2 + (k mod 2) smallest ids, the rest go in consecutive
+    pairs, and a class at u gives each pair (0, 1), (0, 2); every other
+    dropped edge takes (1, 0), which ``solve`` fills in. The reduced graph
+    keeps G's vertices, and its edges in id order.
+    """
+    if g.n <= 2 or g.m <= 3 * g.n * g.n:
+        return g, ()
+    classes = defaultdict(list)
+    for eid, ends in g.arcs():
+        classes[ends].append(eid)
+    kept, root_pairs = [], []
+    for ends, ids in classes.items():
+        keep = 2 + len(ids) % 2 if len(ids) >= 4 else len(ids)
+        kept += zip(ids[:keep], repeat(ends))
+        if u in ends:
+            root_pairs += zip(ids[keep::2], repeat((0, 1)))
+            root_pairs += zip(ids[keep + 1::2], repeat((0, 2)))
+    kept.sort()
+    return Multigraph(g.n, dict(kept)), root_pairs
 
 
 def _suppress_degree_two(g: Multigraph, u: int, trace: ConstructionTrace):

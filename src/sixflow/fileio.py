@@ -27,13 +27,14 @@ dropped first). Every line of a valid file holds a fixed number of tokens
 (4, then 3 per edge, in a graph; 3 for the header and 8 per edge in a
 flow), so the record kinds and the value columns are strided slices of the
 one token list. Each column is checked as a whole: line lengths and kinds,
-counts, endpoint ranges, and the set of value tuples. Every file these
-checks accept is parsed by this pass alone. A file they reject is walked
-again line by line (or edge by edge) only to name its first fault, and
-that walk raises on every path. Each distinct token is converted once: the
-tail and head columns through a memo made for each call, and a flow line's
-four value tokens as one key of a table of the ten valid rows; edge ids are
-unique and keep ``map(int, ...)``. Writing is one format per record, joined
+counts, endpoint ranges (the least and greatest distinct endpoint), and
+the set of value tuples. Every file these checks accept is parsed by this
+pass alone. A file they reject is walked again line by line (or edge by
+edge) only to name its first fault, and that walk raises on every path.
+Each distinct token is converted once: the tail and head columns through
+a memo made for each call, and a flow line's four value tokens as one key
+of a table of the ten valid rows; edge ids are unique and keep
+``map(int, ...)``. Writing is one format per record, joined
 once, and the part a value row fixes comes from a table too: the text
 line's end, or the machine entry laid out as ``json.dumps(..., indent=2,
 sort_keys=True)`` lays it out (its encoder runs in pure Python once
@@ -115,8 +116,9 @@ def parse_graph(text: str) -> Multigraph:
         p, nzf, n, m = tokens[:4]
         n, m = int(n), int(m)
         body = tokens[4:]
-        ints = _Ints().__getitem__
-        tails, heads = list(map(ints, body[1::3])), list(map(ints, body[2::3]))
+        ints = _Ints()
+        tails, heads = (list(map(ints.__getitem__, body[1::3])),
+                        list(map(ints.__getitem__, body[2::3])))
     except ValueError:
         _reject_graph(text)
     edges = len(counts) - 1
@@ -125,7 +127,10 @@ def parse_graph(text: str) -> Multigraph:
         _reject_graph(text)
     if edges != m:
         raise InputError(f"header promises {m} edges, file has {edges}")
-    return Multigraph.build(n, zip(tails, heads))
+    ends = ints.values()  # each distinct endpoint once
+    if ends and not (0 <= min(ends) and max(ends) < n):
+        return Multigraph.build(n, zip(tails, heads))  # raises, naming the first such edge
+    return Multigraph(n, dict(enumerate(zip(tails, heads))))
 
 
 def _reject_graph(text: str) -> NoReturn:

@@ -156,6 +156,16 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [
             "c Reduction(suppressed=4, chains=1)", "c BaseStep(depth=0, loop_edges=1)"]
 
+    def test_trace_with_dropped_pairs(self, tmp_path, capsys):
+        # 29 edges 0 -> 1 keep 3, and m = 31 > 3n^2; then 2 has degree 2 and
+        # is suppressed into a loop at 1, leaving two vertices
+        gfile = tmp_path / "g.nzf"
+        gfile.write_text(format_graph(Multigraph.build(3, [(0, 1)] * 29 + [(1, 2)] * 2)))
+        assert main(["solve", str(gfile), "--root", "0", "--trace"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "c Reduction(suppressed=1, chains=1, dropped=26)",
+            "c BaseStep(depth=0, loop_edges=4)"]
+
     def test_trace_without_a_reduction(self, tmp_path, capsys):
         # K4 has no vertex of degree 2, so the trace holds the steps alone
         gfile = tmp_path / "g.nzf"

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sixflow import (
     InputError,
@@ -41,6 +42,7 @@ from sixflow.testkit import (
 )
 
 from conftest import small_graphs
+from test_tutte import parallel_classes
 
 
 class TestSolveSmall:
@@ -239,6 +241,72 @@ class TestSuppressDegreeTwo:
         for g in enumerate_small_2ec_multigraphs(4, 6):
             for u in g.vertices():
                 assert self.reduce(g, u) == suppressed_by_rule(g, u)
+
+
+def without_the_pair_pass(g, u):
+    """``solve`` with the parallel pair pass switched off."""
+    with patch.object(construct, "_drop_parallel_pairs", lambda g, u: (g, ())):
+        return solve(g, u)
+
+
+class TestParallelPairs:
+    """The pass that drops surplus parallel edges in cancelling pairs, on
+    graphs of more than two vertices and m > 3n^2 edges."""
+
+    @staticmethod
+    def classes(g):
+        """Ordered (tail, head) -> its edge ids, ascending."""
+        classes = {}
+        for eid, ends in g.arcs():
+            classes.setdefault(ends, []).append(eid)
+        return classes
+
+    @settings(max_examples=60, deadline=None)
+    @given(parallel_classes())
+    # classes of 3, 25 and 4 and two root loops: only the last two are reduced
+    @example((Multigraph.build(3, [(0, 1)] * 3 + [(1, 2)] * 25 + [(2, 0)] * 4 + [(0, 0)] * 2),
+              0))
+    def test_every_root(self, case):
+        g, _ = case
+        gated = g.n > 2 and g.m > 3 * g.n ** 2
+        for u in g.vertices():
+            flow, trace = solve(g, u)
+            assert verify_rooted(g, u, flow)
+            assert verify_k_flow(g, group_flow_to_integer_flow(g, group_flow_to_z6(flow)), 6)
+            r, _ = construct._drop_parallel_pairs(g, u)
+            if not gated:
+                assert r is g
+                head_flow, head_trace = without_the_pair_pass(g, u)
+                assert list(flow.items()) == list(head_flow.items())
+                assert repr(trace) == repr(head_trace)
+                continue
+            assert list(flow) == list(g.edge_ids)
+            assert r.n == g.n and trace.reduction.dropped == g.m - r.m > 0
+            assert max(map(len, self.classes(r).values())) <= 3
+            kept = dict(r.arcs())
+            for ends, ids in self.classes(g).items():
+                keep = len(ids) if len(ids) < 4 else 2 + len(ids) % 2
+                assert [eid for eid in ids if eid in kept] == ids[:keep]
+                dropped = [flow[eid] for eid in ids[keep:]]
+                assert sum(f2 for f2, _ in dropped) % 2 == sum(f3 for _, f3 in dropped) % 3 == 0
+                if u in ends:
+                    assert not any(f2 for f2, _ in dropped)
+            assert all(g.endpoints(eid) == ends for eid, ends in kept.items())
+
+    @pytest.mark.parametrize("arcs, message", [
+        ([(0, 1)] * 30 + [(1, 2)] + [(3, 2)] * 30, "graph has a bridge: edge 30 (1, 2)"),
+        # reduced, every vertex has degree 2: the root's side is suppressed
+        # into a loop, and the other side is found as a separate cycle
+        ([(0, 1)] * 30 + [(2, 3)] * 30,
+         "graph is disconnected: vertices [0, 1] form a separate component"),
+    ])
+    def test_errors_name_the_input(self, arcs, message):
+        g = Multigraph.build(4, arcs)
+        for u in g.vertices():
+            for run in (solve, without_the_pair_pass):
+                with pytest.raises(StructuralError) as exc:
+                    run(g, u)
+                assert str(exc.value) == message
 
 
 def bfs_tree(g, edges, start):
@@ -440,6 +508,9 @@ class TestScale:
         pytest.param("with_root_loops(random_2ec_multigraph(20_000, 10_000, 1), 0, 5_000)", 0,
                      1, 160, id="ear-graph-with-5000-root-loops"),
         pytest.param("grid(300, 300)", 0, 5, 640, id="grid-300-by-300-at-a-corner"),
+        # m > 3n^2: the pass leaves at most 3n^2 = 10,800 edges to solve
+        pytest.param("random_2ec_multigraph(60, 300_000, 7)", 0, 0.36, 235,
+                     id="dense-60-vertices-300000-ears"),
         pytest.param("cubic(100_000)", 0, 10, 500, id="random-cubic-of-100000-vertices"),
     ])
     def test_adversarial_family(self, graph, root, max_seconds, max_mb):

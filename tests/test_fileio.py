@@ -349,6 +349,14 @@ class TestGraphParseMatchesReference:
         for text in ("", "\n\n", "c only a comment\n", "  \r\n"):
             assert outcome(parse_graph, text) == outcome(reference_parse_graph, text)
 
+    def test_last_edge_out_of_range(self):
+        # every endpoint but the last edge's is in range
+        for text, bad in (("p nzf 3 3\ne 0 1\ne 1 2\ne 2 3\n", "(2, 3)"),
+                          ("p nzf 3 3\ne 0 1\ne 1 2\ne -1 0", "(-1, 0)")):
+            message = f"edge 2: endpoint out of range {bad} with n=3"
+            assert outcome(parse_graph, text) == outcome(reference_parse_graph, text) == (
+                "error", message)
+
 
 class TestFlowParseMatchesReference:
     @settings(max_examples=150, deadline=None)

@@ -283,12 +283,17 @@ class TestSameRoundsAsEdgeScan:
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_dense_shape(self, seed):
-        # few vertices, thousands of parallel edges: every step bridgeless
+        # few vertices, thousands of parallel edges: the solver drops all but
+        # a few hundred in cancelling pairs, and at one root the rest may
+        # convert in no round, so every root is compared and most take rounds
         base = random_2ec_multigraph(14, 0, seed)
         g = random_2ec_multigraph(14, 6000 - base.m, seed)
-        flow, _ = solve(g, 0)
-        stats = assert_matches_reference(g, group_flow_to_z6(flow))
-        assert stats["augmentation_rounds"] > 0
+        with_rounds = 0
+        for u in g.vertices():
+            flow, _ = solve(g, u)
+            stats = assert_matches_reference(g, group_flow_to_z6(flow))
+            with_rounds += stats["augmentation_rounds"] > 0
+        assert 2 * with_rounds >= g.n
 
 
 @st.composite
