@@ -100,12 +100,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """Read path, or stdin for "-", as UTF-8 with bad bytes kept as lone surrogates."""
     try:
-        return Path(path).read_text()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    return data.decode("utf-8", "surrogateescape")
 
 
 @paused

@@ -56,10 +56,10 @@ def _lowpoint_dfs(
     component. ``cut`` holds one (edge id, child) pair per bridge, the child
     being the bridge's endpoint farther from the root of its DFS tree.
 
-    With ``skip`` = u the DFS is one of G - u, read in place: u is its own
-    one-vertex tree, taken in its turn, and every edge at u is ignored.
-    G's adjacency lists are those of G - u with the entries at u mixed in,
-    in the same id order, so the result is the DFS of a copy of G - u.
+    With ``skip`` = u the DFS is one of G - u, read in place: u is left out
+    of ``order`` and ``size``, and every edge at u is ignored. G's adjacency
+    lists are those of G - u with the entries at u mixed in, in the same id
+    order, so the other vertices come in the order a copy of G - u gives.
 
     Skipping only the single entering edge (by id, not by endpoint pair)
     makes parallel edges behave as back edges, so no parallel edge is ever
@@ -79,10 +79,6 @@ def _lowpoint_dfs(
     timer = 0
     for s in range(n):
         if disc[s] != -1:
-            if s == skip:
-                order.append(s)
-                size[s] = 1
-                timer += 1
             continue
         disc[s] = low[s] = timer
         timer += 1
@@ -151,12 +147,13 @@ def partition_at_bridge(
 
     G - u is read inside G, in G's vertex ids (``_lowpoint_dfs`` with
     ``skip=u``). Returns (block, comp, whole). ``comp[v]`` labels v's
-    component of G - u by its smallest vertex; u is its own component.
-    ``block`` is None when G - u has no bridge. Otherwise ``block[v]`` is
-    the preorder position, in the lowpoint DFS, of the first vertex of v's
-    block: the component of v in G - u minus its bridges. A block's parent
-    block, across the bridge nearer the root of its DFS tree, has a smaller
-    label.
+    component of G - u by its smallest vertex. ``block`` is None when G - u
+    has no bridge. Otherwise ``block[v]`` is the preorder position, in the
+    lowpoint DFS of G - u, of the first vertex of v's block: the component
+    of v in G - u minus its bridges. A block's parent block, across the
+    bridge nearer the root of its DFS tree, has a smaller label. u is in no
+    component and no block, so ``comp[u]`` and ``block[u]`` mean nothing;
+    no caller reads them.
 
     ``whole`` is True exactly when G is 2-edge-connected: every component
     of G - u has at least two root edges (the non-loop edges at u), and
@@ -186,9 +183,9 @@ def partition_at_bridge(
             intervals.pop()
         if not intervals or starts[v]:
             reach = before[i + size[v]] - before[i]
-            if not intervals:  # a component of G - u, or u itself
+            if not intervals:  # a component of G - u
                 total = reach
-                whole = whole and (reach >= 2 or v == u)
+                whole = whole and reach >= 2
             else:  # a bridge's child side, within that component
                 whole = whole and 0 < reach < total
             intervals.append((i + size[v], i))
@@ -198,19 +195,19 @@ def partition_at_bridge(
 
 
 def even_parts(
-    g: Multigraph, u: int, comp: list[int], root_edges: list[tuple[int, int]]
+    g: Multigraph, u: int, comp: list[int]
 ) -> tuple[list[tuple[list[tuple[int, int]], frozenset[int]]], int]:
     """Disjoint even, connected parts of G - u that two root edges reach,
     at least one per component, and how many components were redone.
 
     G - u is read inside G. ``comp`` labels its components (as
-    ``partition_at_bridge`` returns them), and ``root_edges`` lists the
-    (edge id, far endpoint) of every non-loop edge at u, ascending by id.
-    A part is a connected component K of C - J, for some component C of
-    G - u, that at least two root edges reach; it is returned as the
-    ``walk_part`` (tree, edges) of K from its smallest vertex, the walk
-    that finds K. Components come in the order of their first root edge,
-    the parts of each by smallest vertex.
+    ``partition_at_bridge`` returns them), and the root edges, the non-loop
+    edges at u, are read off u's adjacency list, ascending by id. A part is
+    a connected component K of C - J, for some component C of G - u, that
+    at least two root edges reach; it is returned as the ``walk_part``
+    (tree, edges) of K from its smallest vertex, the walk that finds K.
+    Components come in the order of their first root edge, the parts of
+    each by smallest vertex.
 
     J is a T-join of C's odd vertices (Edmonds-Johnson 1973), so C - J is
     even. It is built over a BFS forest of C from x1, the far end of C's
@@ -226,12 +223,14 @@ def even_parts(
     tree grows from each vertex the earlier trees missed, in the first
     pass's BFS order. P is even at every vertex, so every component of
     C - E(P) holds an even number of C's odd vertices, and every tree's root
-    ends even. C - J then contains P, so the piece that holds x1 holds x2.
+    ends even. C - J then contains P, in which x1 reaches x2, so the piece
+    that holds x1 holds x2; a cycle of P that x1 does not reach changes
+    none of this.
     """
     adj = g.undirected_adj()
     spokes = [0] * g.n  # root edges per vertex
     ends: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
-    for _, w in root_edges:
+    for _, w in adj[u]:
         spokes[w] += 1
         ends.setdefault(comp[w], []).append(w)
     odd = [False] * g.n  # in G - u, then in G - u - J
@@ -239,7 +238,7 @@ def even_parts(
     seen = [False] * g.n  # reached by the BFS
     placed = [False] * g.n  # walked into a part
     seen[u] = placed[u] = True  # so no walk enters u
-    cut = {eid for eid, _ in root_edges}  # the edges no part walk follows: these and J
+    cut = {eid for eid, _ in adj[u]}  # the edges no part walk follows: these and J
     parts = []
     redone = 0
     for x1, x2, *_ in ends.values():
@@ -328,14 +327,14 @@ def two_edge_disjoint_paths(
     """The edges of two edge-disjoint x-y paths, as one set of edge ids.
 
     Orientation is ignored. With ``skip`` = u the paths are those of G - u,
-    read inside G: no search enters u. The set is connected, holds x and y,
-    and gives every vertex even degree; it is empty when x == y. Raises
-    StructuralError when no two edge-disjoint paths exist.
+    read inside G: no search enters u. The set holds x and y, x reaches y
+    in it, and it gives every vertex even degree; it is empty when x == y.
+    Raises StructuralError when no two edge-disjoint paths exist.
 
     Unit-capacity augmenting-path search: each edge is usable once in either
-    direction, a used edge may be cancelled by the second search. The
-    support of the resulting 2-unit flow can also carry a cycle that x does
-    not reach, so only x's component of the support is returned.
+    direction, a used edge may be cancelled by the second search. The set is
+    the support of the resulting 2-unit flow, as found, so it can also hold
+    a cycle that x does not reach in it.
     """
     g._check_vertex(x)
     g._check_vertex(y)
@@ -374,17 +373,4 @@ def two_edge_disjoint_paths(
             raise StructuralError(
                 f"no two edge-disjoint paths between {x} and {y}"
             )
-
-    at: dict[int, list[int]] = {}  # vertex -> its neighbours along used edges
-    for eid in used:
-        t, h = g.endpoints(eid)
-        at.setdefault(t, []).append(h)
-        at.setdefault(h, []).append(t)
-    reached = {x}
-    stack = [x]
-    while stack:
-        for w in at[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return frozenset(eid for eid, v in used.items() if v in reached)
+    return frozenset(used)

@@ -74,13 +74,13 @@ component of each vertex. The same DFS checks the instance: G is
 edges and every bridge of G - root has root edges on both of its sides.
 The recursion is valid only on 2-edge-connected instances, and a
 contraction of one is again one, so this is the one always-on check of
-it, made at every step; an instance of two vertices reads it off its
-parallel class. At the root a failed check means bad input, and only
-then is the input graph searched again, for the error to name a bridge or
-a component of it, not of the reduced graph; below the root it is an
-internal fault. The suppression pass searches nothing: it reads degrees
-off the cached adjacency, and only a chain that closes on itself, a
-separate cycle, sends it to the same search.
+it, made at every instance, those of two vertices included. At the root
+a failed check means bad input, and only then is the input graph
+searched again, for the error to name a bridge or a component of it, not
+of the reduced graph; below the root it is an internal fault. The
+suppression pass searches nothing: it reads degrees off the cached
+adjacency, and only a chain that closes on itself, a separate cycle,
+sends it to the same search.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -326,10 +326,7 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool,
     root a graph that is not is bad input, below it an internal fault.
     ``given`` is the input graph that the root instance was reduced from;
     it, not the reduced graph, is searched for the error."""
-    if g.n > 2:
-        block, comp, whole = partition_at_bridge(g, u)
-    else:  # G - u is one vertex or none, its root edges one parallel class
-        whole = g.n == 1 or sum(t != h for _, (t, h) in g.arcs()) >= 2
+    block, comp, whole = partition_at_bridge(g, u)
     if not whole:
         if depth == 0:
             # raises, naming a bridge or a component
@@ -419,7 +416,7 @@ def _bridgeless_case(g, u, comp, depth, trace, debug):
     flow is checked on G by ``_solve_task``.
     """
     adj = g.undirected_adj()
-    parts, fallbacks = even_parts(g, u, comp, adj[u])
+    parts, fallbacks = even_parts(g, u, comp)
     part = [-1] * g.n  # index of v's part, -1 off the parts
     removed = set()  # every part's edges, then every spoke
     for i, (tree, edges) in enumerate(parts):

@@ -275,7 +275,7 @@ def _parse_flow_json(text: str) -> FlowDocument:
         payload = json.loads(text)
         root = payload["root"]
         rows = list(map(_json_row, payload["edges"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed machine-readable flow file: {exc}") from None
     # Only exact JSON integers pass: bool is an int subclass, and floats or
     # strings would reach arithmetic and vertex lookups.

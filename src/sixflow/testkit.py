@@ -186,7 +186,7 @@ def random_2ec_multigraph(n: int, extra_ears: int, seed: int) -> Multigraph:
         while b >= vcount:
             b = bits(k)
         arcs.append((a, b))
-    return Multigraph.build(vcount, arcs)
+    return Multigraph(vcount, dict(enumerate(arcs)))  # every end is below vcount
 
 
 # -- graph families --------------------------------------------------------

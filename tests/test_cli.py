@@ -37,6 +37,11 @@ GRAPH_ERRORS = {
 }
 
 
+def stdin_of(data: bytes):
+    """A stand-in for ``sys.stdin`` that reads ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 class TestGraphFormat:
     def test_roundtrip(self):
         for g in (triangle(), petersen(), Multigraph.build(1, [(0, 0)])):
@@ -186,9 +191,20 @@ class TestSolveCommand:
         gfile.write_text(TRIANGLE)
         assert main(["solve", str(gfile)]) == 0
         from_file = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE))
+        monkeypatch.setattr("sys.stdin", stdin_of(TRIANGLE.encode()))
         assert main(["solve", "-"]) == 0
         assert capsys.readouterr().out == from_file
+
+    def test_undecodable_byte_same_by_path_and_stdin(self, tmp_path, capsys, monkeypatch):
+        data = b"p nzf 3 3\ne 0 1\ne 1 2\n\xff\n"
+        gfile = tmp_path / "g.nzf"
+        gfile.write_bytes(data)
+        assert main(["solve", str(gfile)]) == 1
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", stdin_of(data))
+        assert main(["solve", "-"]) == 1
+        assert capsys.readouterr() == from_file
+        assert from_file.err == "error: line 4: unknown record '\\udcff'\n"
 
     def test_unreadable_graph_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.nzf"
@@ -267,6 +283,15 @@ class TestVerifyCommand:
         assert main(["verify", gfile, str(bfile), "--mode", mode]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_deeply_nested_json_exits_1(self, solved, tmp_path, capsys):
+        gfile, _ = solved
+        # nested far past the interpreter's recursion limit
+        bfile = tmp_path / "deep.json"
+        bfile.write_text('{"root": 0, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["verify", gfile, str(bfile)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: malformed machine-readable flow file: ")
 
     @pytest.mark.parametrize("mode", ["group", "theorem2", "k6"])
     def test_root_outside_graph_exits_1(self, tmp_path, capsys, mode):

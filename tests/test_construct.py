@@ -117,8 +117,8 @@ class TestTraceShape:
         # doubled cycle with every step contracting only the far end of its
         # first root edge: one vertex merged per step, depth beyond the
         # interpreter's default recursion limit
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: (
-            [([(root_edges[0][1], -1)], frozenset())], 0))
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp: (
+            [([(g.undirected_adj()[u][0][1], -1)], frozenset())], 0))
         g = doubled_cycle(1200)
         f, trace = solve(g, 0)
         assert trace.depth > 1000
@@ -348,7 +348,7 @@ def check_parts(g, u):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connectivity, "two_edge_disjoint_paths", recording)
-        parts, redone = connectivity.even_parts(g, u, comp, root_edges)
+        parts, redone = connectivity.even_parts(g, u, comp)
     taken = set()
     for tree, edges in parts:
         verts = {v for v, _ in tree}
@@ -609,7 +609,7 @@ class TestBridgelessChecksFire:
 
     def test_part_with_one_spoke(self, k4, monkeypatch):
         # a walked one-vertex part with its one root edge
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp, root_edges: (
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp: (
             [([(1, -1)], frozenset())], 0))
         assert self.first_step(k4) == "a part has fewer than two spokes"
 
@@ -852,9 +852,9 @@ class TestInputCheck:
 
 
 class TestOneSearchPerStep:
-    """A valid solve, in debug mode too, runs one lowpoint DFS per instance
-    of three or more vertices, the root's included, and never copies G - u.
-    That DFS is also each instance's 2-edge-connectivity check."""
+    """A valid solve, in debug mode too, runs one lowpoint DFS per instance,
+    the root's and those of two vertices or fewer included, and never copies
+    G - u. That DFS is also each instance's 2-edge-connectivity check."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -878,7 +878,7 @@ class TestOneSearchPerStep:
         f, trace = solve(g, u, debug=debug)
         assert verify_rooted(g, u, f)
         assert None not in calls  # every search skips its instance's root
-        return sum(not isinstance(step, BaseStep) for step in trace.steps)
+        return len(trace.steps)
 
     # A 40-cycle with the chords (0, 20) and (10, 30): the suppression pass
     # leaves K4 on 0, 10, 20, 30 (and a root of degree 2 with it), which
@@ -909,12 +909,12 @@ class TestOneSearchPerStep:
                 f, trace = solve(g, u, debug=debug)
                 assert verify_rooted(g, u, f)
                 assert trace.reduction == reduction
-                assert len(searches) == sum(
-                    not isinstance(step, BaseStep) for step in trace.steps) > 0
+                assert len(searches) == len(trace.steps) > 0
 
     def test_path_union_fallback(self, searches):
-        # the cube's one component at root 0 is redone, with no second search
+        # the cube's one component at root 0 is redone, with no search beyond
+        # the step's own and that of its two-vertex child
         g = circular_ladder(4)
-        assert self.steps(g, 0, searches) == len(searches) == 1
+        assert self.steps(g, 0, searches) == len(searches) == 2
         _, trace = solve(g, 0)
         assert trace.steps[0].fallbacks == 1

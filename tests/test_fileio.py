@@ -125,7 +125,7 @@ def _reference_parse_flow_json(text):
         payload = json.loads(text)
         root = payload["root"]
         rows = [tuple(row[key] for key in _JSON_FIELDS) for row in payload["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed machine-readable flow file: {exc}") from None
     if type(root) is not int:
         raise InputError(f"root value {root!r} is not an integer")

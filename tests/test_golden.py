@@ -163,7 +163,7 @@ def cli_runs():
 def run_cli(argv, stdin_text):
     """The exit code, stdout and stderr of one ``sixflow`` run in-process."""
     out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin_text.encode()))
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
