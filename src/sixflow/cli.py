@@ -167,6 +167,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise InputError("repetition count must be positive")
+    if min(args.sizes) < 1:  # before the table starts, not at that size's row
+        raise InputError("vertex count must be positive")
     print("size seed n m wall_ms depth aug_rounds scanned collections")
     for size in args.sizes:
         for seed in args.seeds:

@@ -80,7 +80,8 @@ searched again, for the error to name a bridge or a component of it, not
 of the reduced graph; below the root it is an internal fault. The
 suppression pass searches nothing: it reads degrees off the cached
 adjacency, and only a chain that closes on itself, a separate cycle,
-sends it to the same search.
+sends it to the same search. Once it has built a reduced graph, the
+input's adjacency is released, and that search rebuilds it if it runs.
 
 Recursion is driven by an explicit stack of generators, so depth is bounded
 only by memory, never by the interpreter call stack.
@@ -178,6 +179,8 @@ def solve(
     trace = ConstructionTrace()
     r, root_pairs = _drop_parallel_pairs(g, u)
     h, hu, chains = _suppress_degree_two(r, u, trace)
+    if h is not r:
+        r.drop_adjacency()
     if r is not g:
         trace.reduction = replace(trace.reduction or Reduction(0, 0), dropped=g.m - r.m)
 

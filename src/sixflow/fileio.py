@@ -21,9 +21,12 @@ readers and ``build_flow_document`` fill the columns directly, and the
 writers and checks zip them, so the document holds no per-edge record.
 
 Each file is read with whole-list operations, not a Python loop per line.
-The body is split into tokens once, and the token count of each line is
-taken alongside (comment lines, whose first token starts with ``c``, are
-dropped first). Every line of a valid file holds a fixed number of tokens
+The body is split into tokens once. The token count of each line is taken
+from the layout when the file is laid out as the writers lay it out (one
+record per line, "\\n" the only line end, no comments; see ``_tokens``), and
+otherwise by splitting each line once more (comment lines, whose first
+token starts with ``c``, are dropped first). Both accept the same files.
+Every line of a valid file holds a fixed number of tokens
 (4, then 3 per edge, in a graph; 3 for the header and 8 per edge in a
 flow), so the record kinds and the value columns are strided slices of the
 one token list. Each column is checked as a whole: line lengths and kinds,
@@ -99,19 +102,47 @@ class FlowDocument:
         return dict(zip(self.edge_id, self.int6))
 
 
-def _tokens(text: str) -> tuple[list[str], list[int]]:
+# The line boundaries of str.splitlines that are ASCII, other than "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _tokens(text: str, letter: str, head: int, width: int) -> tuple[list[str], list[int]]:
     """The tokens of the lines that are neither blank nor comments, in file
-    order, and how many tokens each of those lines holds."""
-    lines = text.splitlines()
+    order, and how many tokens each of those lines holds.
+
+    A file in the writer's layout, a ``head``-token first line and then k
+    lines of ``width`` tokens, each starting with ``letter``, gets its counts
+    from that layout, without a split of each line.
+    """
+    lines = None
     if "c" in text:  # without a "c" no line can be a comment
-        lines = [line for line in lines if not line.lstrip().startswith("c")]
+        lines = [line for line in text.splitlines() if not line.lstrip().startswith("c")]
         text = "\n".join(lines)
-    return text.split(), list(filter(None, map(len, map(str.split, lines))))
+    tokens = text.split()
+    if lines is None:
+        # The layout: ASCII (so no line break of str.splitlines outside
+        # ASCII), "\n" the only line break, every line after the first
+        # starting with the letter, and the token count this implies. The
+        # counts taken are exact for every file that passes a reader's token
+        # checks: those pass only when every stride-position token is the
+        # letter and every other token converts to a number, and no token
+        # that starts with the letter converts. So each of the k lines' first
+        # tokens sits on one of the k stride positions, in order, and each
+        # line holds exactly ``width`` tokens. A file that fails them goes to
+        # the reader's line walk, which names the same line with the same
+        # message either way.
+        records = text.count("\n" + letter)
+        if (len(tokens) == head + width * records and text.isascii()
+                and records == text.count("\n") - text.endswith("\n")
+                and not any(map(text.__contains__, _OTHER_BREAKS))):
+            return tokens, [head] + [width] * records
+        lines = text.splitlines()
+    return tokens, list(filter(None, map(len, map(str.split, lines))))
 
 
 @paused
 def parse_graph(text: str) -> Multigraph:
-    tokens, counts = _tokens(text)
+    tokens, counts = _tokens(text, "e", 4, 3)
     try:
         p, nzf, n, m = tokens[:4]
         n, m = int(n), int(m)
@@ -219,7 +250,7 @@ def parse_flow(text: str) -> FlowDocument:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_flow_json(stripped)
-    tokens, counts = _tokens(text)
+    tokens, counts = _tokens(text, "f", 3, 8)
     try:
         start = 8 * counts.index(3)  # the header, if every other line holds 8
         s, solution, root_field = tokens[start:start + 3]
@@ -281,7 +312,8 @@ def _parse_flow_json(text: str) -> FlowDocument:
     # strings would reach arithmetic and vertex lookups.
     if type(root) is not int:
         raise InputError(f"root value {root!r} is not an integer")
-    if set(map(type, chain.from_iterable(rows))) - {int}:
+    columns = [tuple(map(itemgetter(i), rows)) for i in range(7)]
+    if not all({int}.issuperset(map(type, column)) for column in columns):
         i, key, value = next(
             (i, key, value)
             for i, row in enumerate(rows)
@@ -289,7 +321,7 @@ def _parse_flow_json(text: str) -> FlowDocument:
             if type(value) is not int
         )
         raise InputError(f"edges[{i}]: {key} value {value!r} is not an integer")
-    doc = FlowDocument(root, *(tuple(map(itemgetter(i), rows)) for i in range(7)))
+    doc = FlowDocument(root, *columns)
     _validate_flow_document(doc)
     return doc
 

@@ -89,6 +89,10 @@ class Multigraph:
             self._adj = adj
         return self._adj
 
+    def drop_adjacency(self) -> None:
+        """Release the cached adjacency; the next ``undirected_adj()`` rebuilds it."""
+        self._adj = None
+
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise InputError(f"unknown vertex id {v} (n={self.n})")

@@ -426,6 +426,13 @@ class TestGenOracleBench:
         assert captured.err == "error: repetition count must be positive\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sizes", ["100,0", "0", "10,-1"])
+    def test_bench_size_below_one_exits_1_before_any_row(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes, "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: vertex count must be positive\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("option, value", [
         ("--sizes", "x"), ("--seeds", "1,y"), ("--sizes", ","), ("--seeds", "")])
     def test_bench_bad_list_is_a_usage_error(self, capsys, option, value):

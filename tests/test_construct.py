@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -515,6 +516,20 @@ class TestScale:
     ])
     def test_adversarial_family(self, graph, root, max_seconds, max_mb):
         self.solve_alone(graph, root, max_seconds, max_mb)
+
+    def test_ear_graph_solve_peak_without_the_input_adjacency(self):
+        # once suppression has reduced the graph, the input's adjacency is
+        # released: 15.2 MiB traced at peak, against 21.5 MiB with it kept
+        g = random_2ec_multigraph(20_000, 10_000, 1)
+        tracemalloc.start()
+        try:
+            f, trace = solve(g, 0)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert trace.reduction is not None
+        assert peak < 18, f"{peak:.1f} MiB"
+        assert verify_rooted(g, 0, f)
 
     def test_cycle_of_100000_vertices(self):
         # one chain of 99,999 suppressed vertices, a loop at the root: the

@@ -224,10 +224,20 @@ def int_tokens(draw, value):
     return sign + digits
 
 
+def plain_tokens(value):
+    """The token the writers write for ``value``."""
+    return st.just(str(value))
+
+
 @st.composite
 def render(draw, records):
-    """Lay records (lists of tokens) out as text, with comments, blank
+    """Lay records (lists of tokens) out as text: in some examples as the
+    writers lay them out (one record per line, single spaces, "\n" line
+    ends, with or without the last), in the others with comments, blank
     lines, odd whitespace and mixed line ends between and around them."""
+    if draw(st.booleans()):
+        text = "\n".join(map(" ".join, records))
+        return text + "\n" if draw(st.booleans()) else text
     lines = []
     junk = st.sampled_from(["", "   ", "\t", "c", "c comment", "  c indented", "cxyz 1 2", "\x1f"])
     for tokens in records:
@@ -247,8 +257,9 @@ def graph_records(draw, min_edges=0):
     n = draw(st.integers(1, 6))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     arcs = draw(st.lists(ends, min_size=min_edges, max_size=8))
-    header = ["p", "nzf", draw(int_tokens(n)), draw(int_tokens(len(arcs)))]
-    return [header] + [["e", draw(int_tokens(t)), draw(int_tokens(h))] for t, h in arcs]
+    spell = draw(st.sampled_from([int_tokens, plain_tokens]))
+    header = ["p", "nzf", draw(spell(n)), draw(spell(len(arcs)))]
+    return [header] + [["e", draw(spell(t)), draw(spell(h))] for t, h in arcs]
 
 
 @st.composite
@@ -267,9 +278,11 @@ def flow_entries(draw, min_edges=0):
 @st.composite
 def flow_records(draw, min_edges=0):
     root, entries = draw(flow_entries(min_edges))
-    records = [["f", *(draw(int_tokens(v)) for v in e)] for e in entries]
-    header = ["s", "SOLUTION", "root=" + draw(int_tokens(root))]
-    records.insert(draw(st.integers(0, len(records))), header)
+    spell = draw(st.sampled_from([int_tokens, plain_tokens]))
+    records = [["f", *(draw(spell(v)) for v in e)] for e in entries]
+    header = ["s", "SOLUTION", "root=" + draw(spell(root))]
+    # first, as the writer puts it, in about half the examples
+    records.insert(draw(st.just(0) | st.integers(0, len(records))), header)
     return records
 
 
@@ -328,6 +341,36 @@ GRAPH_VALUES = st.integers(-2, 9)
 FLOW_VALUES = st.integers(-7, 7)
 
 
+def near_layout(text, letter):
+    """Files one edit away from a writer's file (a header and three records,
+    as written): each keeps every line after the first starting with the
+    letter, or the token count, or both, but not the whole layout."""
+    lines = text.splitlines()
+    first = lines[1].split()
+    for brk in ("\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"):  # a break inside a record
+        yield "\n".join([lines[0], " ".join(first[:2]) + brk + " ".join(first[2:]),
+                         *lines[2:]]) + "\n"
+    yield text.replace("\n", "\r\n")  # a CRLF copy
+    yield text + "\n"  # a trailing blank line
+    yield "\n".join(lines[1:] + lines[:1]) + "\n"  # the header last
+    # the letter at a non-stride position: in place of a number, and added
+    # to a record whose next record loses a number, so that every check of
+    # the layout holds
+    yield "\n".join([lines[0], " ".join(first[:-1] + [letter]), *lines[2:]]) + "\n"
+    second = lines[2].split()
+    yield "\n".join([lines[0], " ".join(first + [letter]), " ".join(second[:-1]),
+                     *lines[3:]]) + "\n"
+    yield text.rsplit(" ", 1)[0] + "\n"  # the last number dropped
+
+
+class _NoLineSplit(str):
+    """File text whose split into lines fails, so that only a reader that
+    takes the writer's layout reads it."""
+
+    def splitlines(self, keepends=False):
+        raise AssertionError("a file in the writer's layout was split into lines")
+
+
 class TestGraphParseMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -348,6 +391,14 @@ class TestGraphParseMatchesReference:
     def test_empty_and_comment_only_files(self):
         for text in ("", "\n\n", "c only a comment\n", "  \r\n"):
             assert outcome(parse_graph, text) == outcome(reference_parse_graph, text)
+
+    def test_files_next_to_the_writers_layout(self):
+        text = format_graph(Multigraph.build(3, [(0, 1), (1, 2), (2, 0)]))
+        variants = list(near_layout(text, "e"))
+        kinds = [outcome(parse_graph, v)[0] for v in variants]
+        assert kinds == ["error"] * 6 + ["ok"] * 2 + ["error"] * 4
+        for variant in variants:
+            assert outcome(parse_graph, variant) == outcome(reference_parse_graph, variant)
 
     def test_last_edge_out_of_range(self):
         # every endpoint but the last edge's is in range
@@ -373,6 +424,15 @@ class TestFlowParseMatchesReference:
         records = data.draw(mutated(data.draw(flow_records(2)), FLOW_VALUES))
         text = data.draw(render(records))
         assert outcome(parse_flow, text) == outcome(reference_parse_flow, text)
+
+    def test_files_next_to_the_writers_layout(self):
+        doc = document(1, [(0, 0, 1, 1, 0, 3, 3), (1, 1, 2, 0, 1, 4, -2),
+                           (2, 2, 0, 1, 2, 5, 5)])
+        variants = list(near_layout(format_flow(doc), "f"))
+        kinds = [outcome(parse_flow, v)[0] for v in variants]
+        assert kinds == ["error"] * 6 + ["ok"] * 3 + ["error"] * 3
+        for variant in variants:
+            assert outcome(parse_flow, variant) == outcome(reference_parse_flow, variant)
 
     @settings(max_examples=300, deadline=None)
     @given(flow_entries(), st.integers(0, 7), st.integers(0, 6), FLOW_VALUES)
@@ -421,6 +481,14 @@ class TestWritersMatchReference:
         doc = document(*drawn)
         for fmt in ("text", "machine"):
             assert parse_flow(format_flow(doc, fmt)) == doc
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs(), flow_entries())
+    def test_writers_output_is_read_in_their_layout(self, g, drawn):
+        # neither reader splits a writer's file into lines
+        assert parse_graph(_NoLineSplit(format_graph(g))) == g
+        doc = document(*drawn)
+        assert parse_flow(_NoLineSplit(format_flow(doc))) == doc
 
     def test_flow_document_without_entries(self):
         # the property may not draw an edgeless graph; the machine format

@@ -165,11 +165,20 @@ def test_contract_all_gives_single_vertex(n, ears, seed):
 
 
 def test_only_multigraph_reads_the_edge_table():
-    # The storage of edges is multigraph.py's own decision; everything else
-    # reads through arcs(), endpoints() and undirected_adj().
+    # The storage of edges and of the cached adjacency is multigraph.py's own
+    # decision; everything else goes through arcs(), endpoints(),
+    # undirected_adj() and drop_adjacency().
     package = Path(__file__).resolve().parents[1] / "src" / "sixflow"
     readers = sorted(
         p.name for p in package.glob("*.py")
-        if p.name != "multigraph.py" and "._edges" in p.read_text()
+        if p.name != "multigraph.py" and any(map(p.read_text().__contains__, ("._edges", "._adj")))
     )
     assert readers == []
+
+
+def test_dropped_adjacency_is_rebuilt_equal():
+    g = random_2ec_multigraph(30, 10, 4)
+    adj = g.undirected_adj()
+    g.drop_adjacency()
+    rebuilt = g.undirected_adj()
+    assert rebuilt is not adj and rebuilt == adj
