@@ -11,12 +11,11 @@ Bridges, 2-edge-connectivity and the blocks come from one iterative
 lowpoint DFS (Tarjan 1974) that also lists the vertices in preorder and
 counts subtree sizes. Every DFS subtree is then an interval of the
 preorder, and a DFS root's interval is its whole component, so
-connectivity, the component of every vertex and the block of every vertex
-are read off that one pass. The recursion runs it once per step, on G
-itself with the root skipped: G - u is never copied, and every function
-that works on G - u reads G's own adjacency and ignores the entries that
-lead to u. ``components`` reads the DFS roots' intervals; the recursion
-does not use it.
+connectivity and the block of every vertex are read off that one pass. The
+recursion runs it once per step, on G itself with the root skipped: G - u
+is never copied, and every function that works on G - u reads G's own
+adjacency and ignores the entries that lead to u. ``components`` reads
+the DFS roots' intervals; the recursion does not use it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import deque
 from itertools import accumulate
 from typing import AbstractSet, Optional
 
-from .errors import InternalCheckError, StructuralError
+from .errors import InputError, InternalCheckError, StructuralError
 from .multigraph import Multigraph
 
 
@@ -142,40 +141,38 @@ def require_2_edge_connected(g: Multigraph) -> None:
 def partition_at_bridge(
     g: Multigraph, u: int
 ) -> tuple[Optional[list[int]], list[int], bool]:
-    """Label the 2-edge-connected blocks and the components of G - u, and
-    tell whether G itself is 2-edge-connected.
+    """Label the 2-edge-connected blocks of G - u, count the root edges at
+    each vertex, and tell whether G itself is 2-edge-connected.
 
     G - u is read inside G, in G's vertex ids (``_lowpoint_dfs`` with
-    ``skip=u``). Returns (block, comp, whole). ``comp[v]`` labels v's
-    component of G - u by its smallest vertex. ``block`` is None when G - u
-    has no bridge. Otherwise ``block[v]`` is the preorder position, in the
-    lowpoint DFS of G - u, of the first vertex of v's block: the component
-    of v in G - u minus its bridges. A block's parent block, across the
-    bridge nearer the root of its DFS tree, has a smaller label. u is in no
-    component and no block, so ``comp[u]`` and ``block[u]`` mean nothing;
-    no caller reads them.
+    ``skip=u``). Returns (block, spokes, whole). ``spokes[v]`` counts the
+    root edges, the non-loop edges at u, that end at v. ``block`` is None
+    when G - u has no bridge. Otherwise ``block[v]`` is the preorder
+    position, in the lowpoint DFS of G - u, of the first vertex of v's
+    block: the component of v in G - u minus its bridges. A block's parent
+    block, across the bridge nearer the root of its DFS tree, has a smaller
+    label. u is in no block: no caller reads ``block[u]``.
 
     ``whole`` is True exactly when G is 2-edge-connected: every component
-    of G - u has at least two root edges (the non-loop edges at u), and
-    every bridge of G - u has root edges on both of its sides. Otherwise one
-    edge, or none, cuts a component or one side of a bridge off from u.
+    of G - u has at least two root edges, and every bridge of G - u has
+    root edges on both of its sides. Otherwise one edge, or none, cuts a
+    component or one side of a bridge off from u.
 
-    One pass over the preorder gives all three, with a stack of open subtree
-    intervals: one opens at each DFS root and at each bridge's child, and a
-    vertex takes its block from the innermost and its component from the
-    outermost. The root edges into an interval are a difference of prefix
-    sums over the preorder.
+    One pass over the preorder gives the blocks and ``whole``, with a stack
+    of open subtree intervals: one opens at each DFS root and at each
+    bridge's child, and a vertex takes its block from the innermost. The
+    root edges into an interval are a difference of prefix sums over the
+    preorder.
     """
     order, size, cut = _lowpoint_dfs(g, u)
     starts = [False] * g.n  # v is a bridge's child
     for _, child in cut:
         starts[child] = True
-    spokes = [0] * g.n  # root edges per vertex
+    spokes = [0] * g.n
     for _, w in g.undirected_adj()[u]:
         spokes[w] += 1
     before = list(accumulate([spokes[v] for v in order], initial=0))  # at order[:i]
     whole = True
-    comp = [0] * g.n
     block = [0] * g.n
     intervals = []  # (end, label) of the subtree intervals that hold position i
     for i, v in enumerate(order):
@@ -189,29 +186,29 @@ def partition_at_bridge(
             else:  # a bridge's child side, within that component
                 whole = whole and 0 < reach < total
             intervals.append((i + size[v], i))
-        comp[v] = order[intervals[0][1]]  # DFS roots come in increasing vertex order
         block[v] = intervals[-1][1]
-    return (block if cut else None), comp, whole
+    return (block if cut else None), spokes, whole
 
 
 def even_parts(
-    g: Multigraph, u: int, comp: list[int]
+    g: Multigraph, u: int, spokes: list[int]
 ) -> tuple[list[tuple[list[tuple[int, int]], frozenset[int]]], int]:
     """Disjoint even, connected parts of G - u that two root edges reach,
     at least one per component, and how many components were redone.
 
-    G - u is read inside G. ``comp`` labels its components (as
-    ``partition_at_bridge`` returns them), and the root edges, the non-loop
-    edges at u, are read off u's adjacency list, ascending by id. A part is
-    a connected component K of C - J, for some component C of G - u, that
-    at least two root edges reach; it is returned as the ``walk_part``
-    (tree, edges) of K from its smallest vertex, the walk that finds K.
-    Components come in the order of their first root edge, the parts of
-    each by smallest vertex.
+    G - u is read inside G. ``spokes`` counts the root edges, the non-loop
+    edges at u, at each vertex (``partition_at_bridge``); the root edges are
+    read off u's adjacency list, ascending by id, and a component C of
+    G - u starts at each one whose far end no earlier component holds. A
+    part is a connected component K of C - J that at least two root edges
+    reach; it is returned as the ``walk_part`` (tree, edges) of K from its
+    smallest vertex, the walk that finds K. Components come in the order of
+    their first root edge, the parts of each by smallest vertex.
 
     J is a T-join of C's odd vertices (Edmonds-Johnson 1973), so C - J is
     even. It is built over a BFS forest of C from x1, the far end of C's
-    first root edge, neighbours by edge id. Walking in BFS order, each odd
+    first root edge, neighbours by edge id, as (vertex, edge to its parent)
+    pairs, the shape of a ``walk_part`` tree. Walking in BFS order, each odd
     vertex first takes the first edge, by id, to an odd neighbour into J.
     Each vertex still odd then toggles its parent tree edge in J,
     leaf-upward, which makes each tree's root even as well. Every pass is
@@ -219,58 +216,51 @@ def even_parts(
 
     A component that gives no part is redone once with J kept off P, the
     union of two edge-disjoint paths from x1 to x2, the far end of C's
-    second root edge: the forest and the pairing skip P's edges, and a new
-    tree grows from each vertex the earlier trees missed, in the first
-    pass's BFS order. P is even at every vertex, so every component of
-    C - E(P) holds an even number of C's odd vertices, and every tree's root
-    ends even. C - J then contains P, in which x1 reaches x2, so the piece
-    that holds x1 holds x2; a cycle of P that x1 does not reach changes
-    none of this.
+    second root edge, looked up in C's vertices only then: the forest and
+    the pairing skip P's edges, and a new tree grows from each vertex the
+    earlier trees missed, in the first pass's BFS order. P is even at every
+    vertex, so every component of C - E(P) holds an even number of C's odd
+    vertices, and every tree's root ends even. C - J then contains P, in
+    which x1 reaches x2, so the piece that holds x1 holds x2; a cycle of P
+    that x1 does not reach changes none of this.
     """
     adj = g.undirected_adj()
-    spokes = [0] * g.n  # root edges per vertex
-    ends: dict[int, list[int]] = {}  # component label -> far ends of its root edges, by id
-    for _, w in adj[u]:
-        spokes[w] += 1
-        ends.setdefault(comp[w], []).append(w)
     odd = [False] * g.n  # in G - u, then in G - u - J
-    up = [-1] * g.n  # BFS forest edge to the parent
     seen = [False] * g.n  # reached by the BFS
     placed = [False] * g.n  # walked into a part
     seen[u] = placed[u] = True  # so no walk enters u
     cut = {eid for eid, _ in adj[u]}  # the edges no part walk follows: these and J
     parts = []
     redone = 0
-    for x1, x2, *_ in ends.values():
+    for i, (_, x1) in enumerate(adj[u]):
+        if seen[x1]:  # in an earlier component
+            continue
         p = frozenset()  # the edges the forest and the pairing skip
-        order = [x1]
+        order = [(x1, -1)]  # the forest: (vertex, edge to its parent), in BFS order
         for again in (False, True):
             roots, order = order, []  # a redo's roots are the first pass's order
-            for r in roots:
+            for r, _ in roots:
                 if seen[r]:
                     continue
                 seen[r] = True
-                up[r] = -1
-                tree = [r]
-                for v in tree:
+                tree = [(r, -1)]
+                for v, _ in tree:
                     odd[v] = (len(adj[v]) - spokes[v]) % 2 == 1
                     for eid, w in adj[v]:
                         if not seen[w] and eid not in p:
                             seen[w] = True
-                            up[w] = eid
-                            tree.append(w)
+                            tree.append((w, eid))
                 order += tree
             join = set()  # J
-            for v in order:
+            for v, _ in order:
                 if odd[v]:
                     for eid, w in adj[v]:
                         if odd[w] and eid not in p:
                             join.add(eid)
                             odd[v] = odd[w] = False
                             break
-            for v in reversed(order):
+            for v, eid in reversed(order):
                 if odd[v]:
-                    eid = up[v]
                     if eid < 0:
                         raise InternalCheckError("a forest root is left odd")
                     join ^= {eid}
@@ -279,7 +269,7 @@ def even_parts(
                     odd[h] ^= True
             cut |= join
             found = len(parts)
-            for r in sorted(order):
+            for r in sorted([v for v, _ in order]):  # ints sort faster than pairs
                 if not placed[r]:
                     tree, edges = walk_part(adj, r, cut, placed)
                     if sum(spokes[v] for v, _ in tree) >= 2:
@@ -289,8 +279,12 @@ def even_parts(
             if again:
                 raise InternalCheckError("a redone component gives no part")
             redone += 1
+            inside = {v for v, _ in order}
+            x2 = next((w for _, w in adj[u][i + 1:] if w in inside), None)
+            if x2 is None:
+                raise InternalCheckError("a component of G - root has one root edge")
             p = two_edge_disjoint_paths(g, x1, x2, skip=u)
-            for v in order:
+            for v in inside:
                 seen[v] = placed[v] = False
             cut -= join
     return parts, redone
@@ -329,15 +323,18 @@ def two_edge_disjoint_paths(
     Orientation is ignored. With ``skip`` = u the paths are those of G - u,
     read inside G: no search enters u. The set holds x and y, x reaches y
     in it, and it gives every vertex even degree; it is empty when x == y.
-    Raises StructuralError when no two edge-disjoint paths exist.
+    Raises InputError when x, y or ``skip`` is no vertex, or ``skip`` is x
+    or y, and StructuralError when no two edge-disjoint paths exist.
 
     Unit-capacity augmenting-path search: each edge is usable once in either
     direction, a used edge may be cancelled by the second search. The set is
     the support of the resulting 2-unit flow, as found, so it can also hold
     a cycle that x does not reach in it.
     """
-    g._check_vertex(x)
-    g._check_vertex(y)
+    for v in (x, y) if skip is None else (x, y, skip):
+        g._check_vertex(v)
+    if skip in (x, y):
+        raise InputError(f"skipped vertex {skip} is an end of the paths")
     if x == y:
         return frozenset()
     adj = g.undirected_adj()

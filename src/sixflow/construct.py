@@ -69,7 +69,7 @@ vertices. Otherwise two cases:
 Each step reads G - root inside G, with no copy and no renumbering: one
 lowpoint DFS of G that skips the root, ``partition_at_bridge``, picks the
 case. It gives the block of each vertex when there are bridges, and the
-component of each vertex. The same DFS checks the instance: G is
+root edges at each vertex. The same DFS checks the instance: G is
 2-edge-connected exactly when every component of G - root has two root
 edges and every bridge of G - root has root edges on both of its sides.
 The recursion is valid only on 2-edge-connected instances, and a
@@ -329,7 +329,7 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool,
     root a graph that is not is bad input, below it an internal fault.
     ``given`` is the input graph that the root instance was reduced from;
     it, not the reduced graph, is searched for the error."""
-    block, comp, whole = partition_at_bridge(g, u)
+    block, spokes, whole = partition_at_bridge(g, u)
     if not whole:
         if depth == 0:
             # raises, naming a bridge or a component
@@ -341,7 +341,7 @@ def _solve_task(g: Multigraph, u: int, depth: int, trace, debug: bool,
     elif block is not None:
         flow = yield from _cut_case(g, u, block, depth, trace, debug)
     else:
-        flow = yield from _bridgeless_case(g, u, comp, depth, trace, debug)
+        flow = yield from _bridgeless_case(g, u, spokes, depth, trace, debug)
     if debug:
         _check(verify_rooted(g, u, flow), f"flow fails the rooted check at depth {depth}")
     return flow
@@ -404,22 +404,22 @@ def _cut_case(g, u, block, depth, trace, debug):
     return flow
 
 
-def _bridgeless_case(g, u, comp, depth, trace, debug):
+def _bridgeless_case(g, u, spokes, depth, trace, debug):
     """Contract every part (``even_parts``) together with its spokes, the
     root edges into it, solve the smaller instance, then extend back part by
     part.
 
-    ``comp`` labels the components of G - u, from the step's one DFS. Each
-    part's tree comes from the one walk that found it, which never entered
-    u or an earlier part and found every vertex even, so the parts are
-    disjoint, connected, free of u and even. One pass over u's adjacency
+    ``spokes`` counts the root edges at each vertex, as the step's one
+    partition pass found them. Each part's tree comes from the one walk
+    that found it, which never entered u or an earlier part and found every
+    vertex even, so the parts are disjoint, connected, free of u and even. One pass over u's adjacency
     gives the spokes, at least two per part, and one pass over G's edges
     builds the child, in which every part and u are one vertex, the child's
     root. Debug mode checks the child against ``contract``; the finished
     flow is checked on G by ``_solve_task``.
     """
     adj = g.undirected_adj()
-    parts, fallbacks = even_parts(g, u, comp)
+    parts, fallbacks = even_parts(g, u, spokes)
     part = [-1] * g.n  # index of v's part, -1 off the parts
     removed = set()  # every part's edges, then every spoke
     for i, (tree, edges) in enumerate(parts):

@@ -22,12 +22,12 @@ from .errors import GuardError, InputError
 from .flows import NONZERO_PAIRS, ZERO, pair_add, pair_neg
 from .multigraph import Multigraph
 
-# per group: nonzero elements in enumeration order, addition, negation,
-# zero, and the default edge guard
+# per group: nonzero elements in enumeration order, addition, negation, zero
 _GROUPS = {
-    "z2xz3": (NONZERO_PAIRS, pair_add, pair_neg, ZERO, 10),
-    "z6": (tuple(range(1, 6)), lambda a, b: (a + b) % 6, lambda c: (-c) % 6, 0, 10),
+    "z2xz3": (NONZERO_PAIRS, pair_add, pair_neg, ZERO),
+    "z6": (tuple(range(1, 6)), lambda a, b: (a + b) % 6, lambda c: (-c) % 6, 0),
 }
+_GUARD_EDGES = 10  # the default edge guard of every group
 
 
 def enumerate_nz_flows(
@@ -41,11 +41,10 @@ def enumerate_nz_flows(
     """
     if group not in _GROUPS:
         raise InputError(f"unknown group {group!r}")
-    values, add, neg, zero, limit = _GROUPS[group]
-    if guard_edges is not None:
-        if guard_edges < 0:
-            raise InputError("enumeration guard must be non-negative")
-        limit = guard_edges
+    values, add, neg, zero = _GROUPS[group]
+    limit = _GUARD_EDGES if guard_edges is None else guard_edges
+    if limit < 0:
+        raise InputError("enumeration guard must be non-negative")
     if g.m > limit:
         raise GuardError(
             f"{g.m} edges exceeds the enumeration guard of {limit} for {group}"
@@ -93,7 +92,9 @@ def enumerate_nz_flows(
 
 
 def rooted_flows(g: Multigraph, u: int, flows: list[dict]) -> list[dict]:
-    """The flows among ``flows`` with f2 = 0 on every edge at u, loops included."""
+    """The flows among ``flows`` with f2 = 0 on every edge at u, loops
+    included. Raises InputError when u is not a vertex of g."""
+    g._check_vertex(u)
     at_u = [eid for eid, (t, h) in g.arcs() if u in (t, h)]
     if not at_u:
         return list(flows)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sixflow import (
+    InputError,
     InternalCheckError,
     Multigraph,
     StructuralError,
@@ -77,27 +78,40 @@ class TestIs2EdgeConnected:
         assert is_2_edge_connected(g)
 
 
+def _root_edge_counts(g, u):
+    """Per vertex, the edges with exactly one end at u that end there."""
+    counts = [0] * g.n
+    for _, (t, h) in g.arcs():
+        if (t == u) != (h == u):
+            counts[h if t == u else t] += 1
+    return counts
+
+
 class TestBridgePartition:
-    # u's own slot in the labels means nothing, so the tests below drop it
+    # u's own slot in the block labels means nothing, so the tests below drop it
     def test_single_separating_edge(self):
         # u=0, a=1, b=2: edges ua x2, ub x2, ab; a and b are blocks 1 and 2
         g = Multigraph.build(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)])
-        block, comp, whole = partition_at_bridge(g, 0)
-        assert (block[1:], comp[1:], whole) == ([0, 1], [1, 1], True)
+        block, spokes, whole = partition_at_bridge(g, 0)
+        assert (block[1:], spokes, whole) == ([0, 1], [0, 2, 2], True)
+        assert spokes == _root_edge_counts(g, 0)
 
     def test_stray_component_is_one_block(self):
         # u=0, a=1, b=2, c=3: edges ua, ub, ab, uc, uc
         g = Multigraph.build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-        block, comp, whole = partition_at_bridge(g, 0)
-        assert (block[1:], comp[1:], whole) == ([0, 1, 2], [1, 1, 3], True)
+        block, spokes, whole = partition_at_bridge(g, 0)
+        assert (block[1:], spokes, whole) == ([0, 1, 2], [0, 1, 1, 2], True)
+        assert spokes == _root_edge_counts(g, 0)
 
     def test_cycle_splits_at_every_bridge(self):
         # G - 0 is the path 1-2-...-8: every vertex is a block, and each
         # block's parent is the one before it
         n = 9
         g = Multigraph.build(n, [(i, (i + 1) % n) for i in range(n)])
-        block, comp, whole = partition_at_bridge(g, 0)
-        assert (block[1:], comp[1:], whole) == (list(range(n - 1)), [1] * (n - 1), True)
+        block, spokes, whole = partition_at_bridge(g, 0)
+        assert (block[1:], spokes, whole) == (
+            list(range(n - 1)), [0, 1] + [0] * (n - 3) + [1], True)
+        assert spokes == _root_edge_counts(g, 0)
 
     def test_k4_is_bridgeless_minus_any_vertex(self, k4):
         for u in range(4):
@@ -121,13 +135,9 @@ def _components_without(g, u):
 
 def _check_partition(g, u):
     gu = g.delete_vertex(u)
-    block, comp, whole = partition_at_bridge(g, u)
+    block, spokes, whole = partition_at_bridge(g, u)
     assert whole == is_2_edge_connected(g)
-    # the labels group V(G - u) exactly as components() does, by smallest
-    # vertex; u is in none of them
-    rest = _components_without(gu, u)
-    assert _groups(comp, u) == rest
-    assert all(comp[v] == min(c) for c in rest for v in c)
+    assert spokes == _root_edge_counts(g, u)
     cut = brute_force_bridges(gu)
     assert (block is None) == (not cut)
     if block is None:
@@ -137,10 +147,11 @@ def _check_partition(g, u):
     assert _groups(block, u) == _components_without(pruned, u)
     # every block but the first of its component has exactly one bridge to
     # a block with a smaller label
-    first = {}  # component label -> smallest block label in it
+    component = {v: min(c) for c in _components_without(gu, u) for v in c}
+    first = {}  # component's smallest vertex -> smallest block label in it
     others = [v for v in range(g.n) if v != u]
     for v in others:
-        first[comp[v]] = min(first.get(comp[v], block[v]), block[v])
+        first[component[v]] = min(first.get(component[v], block[v]), block[v])
     down = {}  # block label -> bridges to smaller labels
     for eid in cut:
         t, h = gu.endpoints(eid)
@@ -148,7 +159,7 @@ def _check_partition(g, u):
         high = max(block[t], block[h])
         down[high] = down.get(high, 0) + 1
     for v in others:
-        assert down.get(block[v], 0) == (0 if block[v] == first[comp[v]] else 1)
+        assert down.get(block[v], 0) == (0 if block[v] == first[component[v]] else 1)
 
 
 class TestPartitionProperties:
@@ -210,6 +221,18 @@ class TestTwoEdgeDisjointPaths:
         g = Multigraph.build(19, self.DETACHED + [(18, 0), (18, 6)])
         flow, _ = solve(g, 18)
         assert verify_rooted(g, 18, flow)
+
+    @pytest.mark.parametrize("skip, message", [
+        (7, "^unknown vertex id 7 \\(n=4\\)$"),
+        (-1, "^unknown vertex id -1 \\(n=4\\)$"),
+        (1, "^skipped vertex 1 is an end of the paths$"),
+        (2, "^skipped vertex 2 is an end of the paths$"),
+    ], ids=["past_n", "negative", "x", "y"])
+    def test_skip_must_be_another_vertex(self, k4, skip, message):
+        # as x and y are checked; the paths of K4 - 0 from 1 to 2 exist
+        assert two_edge_disjoint_paths(k4, 1, 2, skip=0) == {3, 4, 5}
+        with pytest.raises(InputError, match=message):
+            two_edge_disjoint_paths(k4, 1, 2, skip=skip)
 
     def test_no_two_paths(self):
         g = Multigraph.build(2, [(0, 1)])

@@ -29,7 +29,7 @@ from sixflow.construct import (
     BaseStep, BridgelessStep, ConstructionTrace, CutStep, Reduction, _solve_task,
     _suppress_degree_two)
 from sixflow.connectivity import (
-    is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
+    components, is_2_edge_connected, partition_at_bridge, require_2_edge_connected)
 from sixflow.testkit import (
     circular_ladder,
     doubled_cycle,
@@ -118,7 +118,7 @@ class TestTraceShape:
         # doubled cycle with every step contracting only the far end of its
         # first root edge: one vertex merged per step, depth beyond the
         # interpreter's default recursion limit
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp: (
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, spokes: (
             [([(g.undirected_adj()[u][0][1], -1)], frozenset())], 0))
         g = doubled_cycle(1200)
         f, trace = solve(g, 0)
@@ -331,13 +331,15 @@ def check_parts(g, u):
     """Every part one bridgeless step at u would contract is even, connected
     in G - u, free of u, disjoint from the others, and reached by at least
     two root edges, and its tree is the BFS over its edges from its smallest
-    vertex, neighbours by edge id; every component of G - u gets a part, and
-    in a redone component the part that holds the far end x1 of its first
-    root edge also holds x2, that of its second. Returns False, checking
-    nothing, when G - u has a bridge or no vertex."""
-    block, comp, _ = partition_at_bridge(g, u)
+    vertex, neighbours by edge id; every component of G - u gets a part,
+    the components in the order of their first root edge, and in a redone
+    component the part that holds the far end x1 of its first root edge
+    also holds x2, that of its second. Returns False, checking nothing,
+    when G - u has a bridge or no vertex."""
+    block, spokes, _ = partition_at_bridge(g, u)
     if block is not None or g.n == 1:
         return False
+    component = {v: i for i, c in enumerate(components(g.delete_vertex(u))) for v in c}
     root_edges = [(eid, h if t == u else t) for eid, (t, h) in g.arcs()
                   if (t == u) != (h == u)]
     redos = []  # (x1, x2) of each redone component
@@ -349,7 +351,7 @@ def check_parts(g, u):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connectivity, "two_edge_disjoint_paths", recording)
-        parts, redone = connectivity.even_parts(g, u, comp)
+        parts, redone = connectivity.even_parts(g, u, spokes)
     taken = set()
     for tree, edges in parts:
         verts = {v for v, _ in tree}
@@ -364,10 +366,11 @@ def check_parts(g, u):
         assert u not in verts and taken.isdisjoint(verts)
         taken |= verts
         assert sum(w in verts for _, w in root_edges) >= 2
-    assert {comp[v] for v in taken} == {comp[w] for _, w in root_edges}
+    by_first_root_edge = list(dict.fromkeys(component[w] for _, w in root_edges))
+    assert list(dict.fromkeys(component[tree[0][0]] for tree, _ in parts)) == by_first_root_edge
     assert len(redos) == redone
     for x1, x2 in redos:
-        assert [w for _, w in root_edges if comp[w] == comp[x1]][:2] == [x1, x2]
+        assert [w for _, w in root_edges if component[w] == component[x1]][:2] == [x1, x2]
         assert any({x1, x2} <= {v for v, _ in tree} for tree, _ in parts)
     return True
 
@@ -606,6 +609,15 @@ class TestBridgelessChecksFire:
         g = Multigraph.build(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
         assert self.first_step(g, depth=1) == INSTANCE_MESSAGE
 
+    def test_redo_without_a_second_root_edge(self):
+        # past the instance check, {1, 2} gives no part and has no x2 to
+        # redo with: an InternalCheckError, not a StopIteration or an
+        # unpacking error from inside the step's generator
+        g = Multigraph.build(3, [(0, 1), (1, 2), (1, 2)])
+        with pytest.raises(InternalCheckError) as exc:
+            connectivity.even_parts(g, 0, partition_at_bridge(g, 0)[1])
+        assert str(exc.value) == "a component of G - root has one root edge"
+
     # On the cube at root 0, G - 0 is one component, its first T-join
     # leaves no part (``TestRedoneComponents``), and it is redone off the
     # edge set that two_edge_disjoint_paths gives.
@@ -624,7 +636,7 @@ class TestBridgelessChecksFire:
 
     def test_part_with_one_spoke(self, k4, monkeypatch):
         # a walked one-vertex part with its one root edge
-        monkeypatch.setattr(construct, "even_parts", lambda g, u, comp: (
+        monkeypatch.setattr(construct, "even_parts", lambda g, u, spokes: (
             [([(1, -1)], frozenset())], 0))
         assert self.first_step(k4) == "a part has fewer than two spokes"
 

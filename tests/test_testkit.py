@@ -58,8 +58,11 @@ class TestEnumerateFlows:
 
     def test_guard(self, triangle):
         g = Multigraph.build(2, [(0, 1), (1, 0)] * 6)
-        with pytest.raises(GuardError):
-            enumerate_nz_flows(g, "z2xz3")
+        # both groups share the default guard of 10 edges
+        for group in ("z2xz3", "z6"):
+            with pytest.raises(GuardError, match=f"^12 edges exceeds the enumeration "
+                                                 f"guard of 10 for {group}$"):
+                enumerate_nz_flows(g, group)
         # the override moves the guard in either direction
         with pytest.raises(GuardError):
             enumerate_nz_flows(triangle, "z2xz3", guard_edges=2)
@@ -105,6 +108,14 @@ class TestExhaustiveOracle:
 
     def test_theta_graph(self):
         self.check(Multigraph.build(2, [(0, 1), (0, 1), (0, 1)]))
+
+    def test_root_must_be_a_vertex(self, triangle):
+        # a bad root would keep every flow, and a cross-check pass vacuously
+        flows = enumerate_nz_flows(triangle)
+        assert (len(flows), len(rooted_flows(triangle, 0, flows))) == (5, 2)
+        for u in (7, -1):
+            with pytest.raises(InputError, match=f"^unknown vertex id {u} \\(n=3\\)$"):
+                rooted_flows(triangle, u, flows)
 
 
 class TestEnumerateSmallGraphs:
