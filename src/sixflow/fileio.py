@@ -44,6 +44,14 @@ sort_keys=True)`` lays it out (its encoder runs in pure Python once
 ``indent`` is set). A table (``FixedTable``) computes a key outside it, say
 ``+1`` or a row out of range, on each lookup as ``int`` or ``%`` would, and
 never stores it.
+
+A machine file in the writer's layout is read by line stride too, one
+chunk of about ``_CHUNK`` characters at a time (see
+``_read_machine_layout``), so its transient memory is bounded by a chunk's
+lines rather than by one object per edge. Each of its lines is accepted
+only as the writer writes it, so any other JSON, and any other spelling of
+a value, goes through ``json.loads``; both give the same document, or the
+same error.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import NoReturn
+from typing import NoReturn, Optional
 
 from ._collector import paused
 from .errors import InputError, InternalCheckError
@@ -300,8 +308,110 @@ def _reject_flow(text: str) -> NoReturn:
 _JSON_FIELDS = ("id", "tail", "head", "f2", "f3", "z6", "int6")
 _json_row = itemgetter(*_JSON_FIELDS)
 
+# The writer's machine layout, line by line: the document's first lines, an
+# entry's nine lines (its opening brace, the seven field lines with a %d for
+# the value, its closing brace), the lines after the last entry, and the
+# whole file of an empty document, each up to its root.
+_JSON_OPEN = '{\n  "edges": [\n'
+_ENTRY_LINES = _JSON_ENTRY.replace("%s", "%d").split("\n")
+_JSON_CLOSE = '\n  ],\n  "root": '
+_JSON_EMPTY = '{\n  "edges": [],\n  "root": '
+# An entry's f2, f3, int6 and z6 lines, as written, to their value row.
+_ROW_OF_LINES = {
+    tuple(_ENTRY_LINES[i] % value for i, value in zip((1, 2, 5, 7), (a, b, v, z))): (a, b, z, v)
+    for a, b, z, v in _VALID_VALUES
+}
+# About how many characters of entries each pass of the layout reader takes.
+_CHUNK = 1 << 16
+
+
+class _LineInts(dict):
+    """line -> the int that ``form % value`` writes as that line, each distinct
+    line converted once; ValueError for a line that no int writes. The form
+    ends in "%d,", as an entry's head and tail lines do."""
+
+    def __init__(self, form: str):
+        self.form = form
+        self.digits = slice(form.index("%"), -1)
+
+    def __missing__(self, line):
+        value = int(line[self.digits])
+        if self.form % value != line:  # "+1", "01", "-0", "1_0", other digits, spaces
+            raise ValueError(line)
+        self[line] = value
+        return value
+
+
+def _read_machine_layout(text: str) -> Optional[FlowDocument]:
+    """The document of a file laid out exactly as ``format_flow(doc,
+    "machine")`` lays it out, or None for any other text.
+
+    The entries are read a chunk of about ``_CHUNK`` characters at a time, cut
+    after an entry's closing line, so a chunk's lines hold whole entries and
+    each field is a stride-9 slice of them. Every line is checked against
+    what the writer puts there, so an accepted text is the writer's output
+    of the document returned, which ``json.loads`` reads the same way.
+    """
+    if text.startswith(_JSON_EMPTY):
+        return _layout_document(text, len(_JSON_EMPTY), [()] * 7)
+    end = text.rfind(_JSON_CLOSE)
+    if not text.startswith(_JSON_OPEN) or end < len(_JSON_OPEN):
+        return None
+    brace, _, _, head, eid, _, tail, _, last = _ENTRY_LINES
+    closing = last + ","  # the closing line of every entry but the last
+    cut_at = "\n" + closing + "\n"
+    id_digits = itemgetter(slice(eid.index("%"), -1))
+    heads, tails = _LineInts(head), _LineInts(tail)
+    ids, tail_column, head_column, rows = [], [], [], []
+    pos = len(_JSON_OPEN)
+    try:
+        while True:
+            cut = text.find(cut_at, pos + _CHUNK, end)
+            lines = text[pos:end if cut < 0 else cut + len(closing) + 1].split("\n")
+            k = len(lines) // 9
+            if (len(lines) != 9 * k or lines[0::9].count(brace) != k
+                    or lines[8::9].count(closing) != k - (cut < 0)
+                    or lines[-1] != (last if cut < 0 else closing)):
+                return None
+            id_lines = lines[4::9]
+            chunk_ids = list(map(int, map(id_digits, id_lines)))
+            # each line as %d writes its value: "\n" is in no line, so the
+            # joined columns are equal exactly when every line is
+            if "\n".join([eid] * k) % tuple(chunk_ids) != "\n".join(id_lines):
+                return None
+            ids += chunk_ids
+            tail_column += map(tails.__getitem__, lines[6::9])
+            head_column += map(heads.__getitem__, lines[3::9])
+            rows += map(_ROW_OF_LINES.__getitem__,
+                        zip(lines[1::9], lines[2::9], lines[5::9], lines[7::9]))
+            if cut < 0:
+                break
+            pos = cut + len(cut_at)
+    except (KeyError, ValueError):
+        return None
+    return _layout_document(text, end + len(_JSON_CLOSE),
+                            [ids, tail_column, head_column, *zip(*rows)])
+
+
+def _layout_document(text: str, start: int, columns: list) -> Optional[FlowDocument]:
+    """The document of the root and columns if the text ends from ``start``
+    with its root and closing brace as the writer ends it, or None."""
+    field = text[start:-3]
+    try:
+        root = int(field)
+    except ValueError:
+        return None
+    if not text.endswith("\n}\n") or "%d" % root != field:
+        return None
+    doc = FlowDocument(root, *map(tuple, columns))
+    _validate_flow_document(doc)
+    return doc
+
 
 def _parse_flow_json(text: str) -> FlowDocument:
+    doc = _read_machine_layout(text)
+    if doc is not None:
+        return doc
     try:
         payload = json.loads(text)
         root = payload["root"]

@@ -108,18 +108,17 @@ def verify_rooted(g: Multigraph, u: int, f: GroupFlow) -> bool:
 def k_flow_violation(g: Multigraph, f: IntegerFlow, k: int) -> Optional[Witness]:
     """Check a nowhere-zero integer k-flow."""
     _require_total(g, f)
-    for eid in g.edge_ids:
-        if not 0 < abs(f[eid]) <= k - 1:
-            return ("edge", eid)
+    values = list(map(f.__getitem__, g.edge_ids))
+    bad = {x for x in set(values) if not 0 < abs(x) <= k - 1}
+    if bad:
+        return ("edge", next(eid for eid, x in zip(g.edge_ids, values) if x in bad))
     exc = [0] * g.n
-    for eid, (t, h) in g.arcs():
-        if t == h:
-            continue
-        exc[h] += f[eid]
-        exc[t] -= f[eid]
-    for v in range(g.n):
-        if exc[v]:
-            return ("vertex", v)
+    # a loop adds and takes its value at one vertex
+    for (_, (t, h)), x in zip(g.arcs(), values):
+        exc[h] += x
+        exc[t] -= x
+    if any(exc):
+        return ("vertex", next(v for v in range(g.n) if exc[v]))
     return None
 
 

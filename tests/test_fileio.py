@@ -9,7 +9,10 @@ the same bytes.
 """
 
 import json
+import random
+import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -363,6 +366,40 @@ def near_layout(text, letter):
     yield text.rsplit(" ", 1)[0] + "\n"  # the last number dropped
 
 
+def near_machine_layout(text):
+    """Files one edit away from the writer's machine file of a three-entry
+    document with root 1, whose first entry has id 0, head 1 and tail 0."""
+    payload = json.loads(text)
+    yield text.replace("\n", "\r\n")  # a CRLF copy
+    yield text[:-1]  # no final "\n"
+    yield json.dumps(payload, indent=4, sort_keys=True) + "\n"
+    yield json.dumps(payload, indent=2, sort_keys=True, separators=(",", ":")) + "\n"
+    first = '      "f2": 1,\n      "f3": 0,\n'
+    yield text.replace(first, '      "f3": 0,\n      "f2": 1,\n', 1)  # keys out of order
+    yield text.replace(first, first + '      "g": 0,\n', 1)  # an extra key
+    yield text.replace('"id": 0,\n', '"id": 0,\n      "id": 5,\n', 1)  # a duplicated key
+    # one value spelled otherwise: the same integer, or no JSON integer
+    for old, new in (('"id": 0,', '"id": -0,'), ('"root": 1', '"root": -0'),
+                     ('"id": 1,', '"id": 01,'), ('"head": 1,', '"head": 01,'),
+                     ('"tail": 1,', '"tail": +1,'), ('"root": 1', '"root": 01'),
+                     ('"f2": 1,', '"f2": 1.0,'), ('"f2": 0,', '"f2": true,'),
+                     ('"root": 1', '"root": "1"')):
+        yield text.replace(old, new, 1)
+    # one brace or bracket of the layout changed, or a line added inside the
+    # last entry, so that the file is no JSON
+    yield text.replace("    {\n", "    [\n", 1)
+    yield text.replace("    },\n", "    ],\n", 1)
+    yield text.replace("    }\n  ]", "    ]\n  ]", 1)
+    yield text.replace('"z6": 5\n', '"z6": 5\n      "z6": 5\n', 1)
+    yield text[:-2] + "]\n"
+    yield text.replace('"id"', '"\\u0069d"', 1)  # a key spelled with an escape
+    yield text.replace('"id": 1,', '"id": 0,', 1)  # a duplicated edge id, as laid out
+    yield text.replace('"z6": 3\n', '"z6": 3,\n', 1)  # a trailing comma
+    yield '{\n  "root": 1,\n' + text[2:].replace(',\n  "root": 1\n}', "\n}")  # root first
+    yield format_flow(document(1, []), "machine")  # an empty edge list, as written
+    yield '{\n  "edges": [\n  ],\n  "root": 1\n}\n'  # and split over two lines
+
+
 class _NoLineSplit(str):
     """File text whose split into lines fails, so that only a reader that
     takes the writer's layout reads it."""
@@ -434,15 +471,33 @@ class TestFlowParseMatchesReference:
         for variant in variants:
             assert outcome(parse_flow, variant) == outcome(reference_parse_flow, variant)
 
+    def test_machine_files_next_to_the_writers_layout(self):
+        doc = document(1, [(0, 0, 1, 1, 0, 3, 3), (1, 1, 2, 0, 1, 4, -2),
+                           (2, 2, 0, 1, 2, 5, 5)])
+        text = format_flow(doc, "machine")
+        variants = list(near_machine_layout(text))
+        assert text not in variants and len(set(variants)) == len(variants)
+        kinds = [outcome(parse_flow, v)[0] for v in variants]
+        assert kinds == ["ok"] * 9 + ["error"] * 12 + ["ok"] + ["error"] * 2 + ["ok"] * 3
+        for variant in variants:
+            assert outcome(parse_flow, variant) == outcome(reference_parse_flow, variant)
+
     @settings(max_examples=300, deadline=None)
-    @given(flow_entries(), st.integers(0, 7), st.integers(0, 6), FLOW_VALUES)
-    def test_machine_files_with_one_changed_value(self, doc, i, field, value):
+    @given(flow_entries(), st.integers(0, 7), st.integers(0, 6), FLOW_VALUES, st.booleans(),
+           st.sampled_from([0, 200, fileio._CHUNK]))
+    def test_machine_files_with_one_changed_value(self, doc, i, field, value, as_written,
+                                                   chunk):
+        # in half the examples in the writer's layout, read in chunks of one
+        # entry, of a few, or of the size the reader takes
         root, entries = doc
         rows = [dict(zip(_JSON_FIELDS, e)) for e in entries]
         if rows:
             rows[i % len(rows)][_JSON_FIELDS[field]] = value
-        text = json.dumps({"root": root, "edges": rows})
-        assert outcome(parse_flow, text) == outcome(reference_parse_flow, text)
+        payload = {"root": root, "edges": rows}
+        text = (json.dumps(payload, indent=2, sort_keys=True) + "\n" if as_written
+                else json.dumps(payload))
+        with mock.patch.object(fileio, "_CHUNK", chunk):
+            assert outcome(parse_flow, text) == outcome(reference_parse_flow, text)
 
 
 @st.composite
@@ -485,10 +540,14 @@ class TestWritersMatchReference:
     @settings(max_examples=100, deadline=None)
     @given(multigraphs(), flow_entries())
     def test_writers_output_is_read_in_their_layout(self, g, drawn):
-        # neither reader splits a writer's file into lines
+        # neither reader splits a writer's file into lines, and a machine
+        # file as written is read without json.loads
         assert parse_graph(_NoLineSplit(format_graph(g))) == g
         doc = document(*drawn)
         assert parse_flow(_NoLineSplit(format_flow(doc))) == doc
+        with mock.patch.object(fileio.json, "loads", side_effect=AssertionError(
+                "a machine file in the writer's layout went to json.loads")):
+            assert parse_flow(format_flow(doc, "machine")) == doc
 
     def test_flow_document_without_entries(self):
         # the property may not draw an edgeless graph; the machine format
@@ -498,6 +557,26 @@ class TestWritersMatchReference:
             assert doc == document(root, [])
             for fmt in ("text", "machine"):
                 assert format_flow(doc, fmt) == reference_format_flow(doc, fmt)
+
+
+class TestMachineReaderMemory:
+    def test_peak_while_reading_20k_edges(self):
+        # the layout reader holds one chunk's lines at a time: about 5.0 MiB
+        # at the peak here, against 11.4 MiB through json.loads
+        rng = random.Random(1)
+        valid = sorted(fileio._VALID_VALUES)
+        rows = [rng.choice(valid) for _ in range(20_000)]
+        ends = [tuple(rng.randrange(14) for _ in rows) for _ in range(2)]
+        doc = FlowDocument(3, tuple(range(len(rows))), *ends, *zip(*rows))
+        text = format_flow(doc, "machine")
+        tracemalloc.start()
+        try:
+            parsed = parse_flow(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == doc
+        assert peak < 7.5 * 2**20
 
 
 def table_sizes():

@@ -14,11 +14,29 @@ from sixflow.flows import (
     NONZERO_PAIRS,
     _pair_excesses,
     flow_violation,
+    k_flow_violation,
     pair_neg,
     rooted_violation,
     zero_edge,
 )
 from sixflow.testkit import random_2ec_multigraph
+
+
+def reference_k_flow_violation(g, f, k):
+    """The first edge out of range, in edge order, else the first vertex
+    whose excess is not zero, else None."""
+    for eid in g.edge_ids:
+        if not 0 < abs(f[eid]) <= k - 1:
+            return ("edge", eid)
+    exc = [0] * g.n
+    for eid, (t, h) in g.arcs():
+        if t != h:
+            exc[h] += f[eid]
+            exc[t] -= f[eid]
+    for v in range(g.n):
+        if exc[v]:
+            return ("vertex", v)
+    return None
 
 
 class TestExcess:
@@ -109,6 +127,21 @@ class TestVerifiers:
         assert not verify_k_flow(g, {0: 6}, 6)
         assert not verify_k_flow(g, {0: 0}, 6)
         assert verify_k_flow(g, {0: -5}, 6)
+
+    def test_k_flow_range_on_a_loop_after_a_valid_edge(self):
+        g = Multigraph.build(2, [(0, 1), (1, 0), (1, 1)])
+        assert k_flow_violation(g, {0: 2, 1: 2, 2: 5}, 6) is None
+        for value in (0, 6, -7):
+            assert k_flow_violation(g, {0: 2, 1: 2, 2: value}, 6) == ("edge", 2)
+
+    @given(st.integers(2, 8), st.integers(0, 6), st.integers(0, 100), st.data())
+    def test_k_flow_witness_matches_reference(self, n, ears, seed, data):
+        # values in range, then up to two of them out of it
+        g = random_2ec_multigraph(n, ears, seed)
+        f = {eid: data.draw(st.integers(-5, 5).filter(bool)) for eid in g.edge_ids}
+        for eid in data.draw(st.lists(st.sampled_from(sorted(g.edge_ids)), max_size=2)):
+            f[eid] = data.draw(st.sampled_from([-7, -6, 0, 6, 7]))
+        assert k_flow_violation(g, f, 6) == reference_k_flow_violation(g, f, 6)
 
 
 class TestNegate:
